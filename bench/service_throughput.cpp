@@ -28,9 +28,10 @@
  * A fourth replay runs the same trace under a seeded 1% wildcard
  * transient fault storm (`--faults [seed]` picks the storm seed; CI
  * sweeps it): the self-healing layer retries, bisects and quarantines,
- * and `bit_identical_under_faults` — every completion still matching
- * the direct goldens — is the second hard gate.  `--metrics` prints
- * the full Prometheus snapshot after the run.
+ * and the storm must complete every ticket (`fault_completed` ==
+ * `requests`) with `bit_identical_under_faults` — every completion
+ * still matching the direct goldens — as the second hard gate.
+ * `--metrics` prints the full Prometheus snapshot after the run.
  */
 #include <algorithm>
 #include <cstdlib>
@@ -360,8 +361,13 @@ main(int argc, char **argv)
                     metrics::render_prometheus(metrics::snapshot())
                         .c_str());
     }
+    if (fault_done != trace.size()) {
+        std::fprintf(stderr,
+                     "FAULT STORM INCOMPLETE: %zu of %zu tickets "
+                     "completed\n", fault_done, trace.size());
+    }
     return (bit_identical && bit_identical_traced &&
-            bit_identical_under_faults)
+            bit_identical_under_faults && fault_done == trace.size())
         ? 0
         : 1;
 }

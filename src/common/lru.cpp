@@ -1,7 +1,5 @@
 #include "common/lru.hpp"
 
-#include <thread>
-
 #include "common/env.hpp"
 
 namespace bitwave {
@@ -14,24 +12,6 @@ cache_capacity_from_env(std::size_t fallback)
         return static_cast<std::size_t>(v);
     }
     return fallback > 0 ? fallback : 1;
-}
-
-std::size_t
-cache_shards_from_env()
-{
-    auto want = static_cast<std::size_t>(
-        env_positive_int("BITWAVE_CACHE_SHARDS", 0));
-    if (want == 0) {
-        want = std::thread::hardware_concurrency();
-        if (want == 0) {
-            want = 1;
-        }
-    }
-    std::size_t pow2 = 1;
-    while (pow2 < want && pow2 < 64) {
-        pow2 <<= 1;
-    }
-    return pow2;
 }
 
 }  // namespace bitwave

@@ -1,42 +1,37 @@
 /**
  * @file
- * Thread-safe LRU caches for the process-wide preparation caches
- * (Bit-Flip twins, packed bit planes, workload synthesis, layer stats).
+ * Thread-safe LRU cache for the process-wide content caches (Bit-Flip
+ * twins, packed bit planes, layer stats, mapping memos).
  *
- * Two implementations share one contract:
+ * One map under one shared mutex. The hot read path — a hit on a
+ * resident entry — takes the lock *shared* and records recency with a
+ * relaxed atomic tick instead of a list splice, so concurrent hits
+ * never serialize; only a miss (insert + possible eviction) takes the
+ * lock exclusively. Eviction removes the entry with the smallest tick,
+ * which for sequential access is exactly the least-recently-used entry.
+ * The capacity is the cache's true total and is honoured exactly.
  *
- *  - `LruCache` — exact LRU under a single mutex. Kept as the simple
- *    oracle the sharded cache is tested against.
- *  - `ShardedLruCache` — the production cache: N power-of-two
- *    lock-striped shards keyed by content hash, each with a
- *    shared-mutex read fast path (concurrent hits of resident entries
- *    never contend — recency is an atomic tick, not a list splice) and
- *    per-shard capacity/eviction. With one shard and sequential access
- *    it reproduces the oracle's hit/miss/eviction behavior exactly.
- *
- * Entries build exactly once under a per-entry once_flag, so concurrent
- * first requests for the same key never duplicate work and builds of
- * different keys never serialize. Eviction drops the cache's reference
- * only; holders of the returned shared_ptr (including an in-flight
- * builder) keep the value alive.
+ * Entries build exactly once under a per-entry once_flag, outside the
+ * lock, so concurrent first requests for the same key never duplicate
+ * work and builds of different keys never serialize. Eviction drops the
+ * cache's reference only; holders of the returned shared_ptr (including
+ * an in-flight builder) keep the value alive.
  *
  * Every cache reads its capacity from the BITWAVE_CACHE_ENTRIES
- * environment variable and its shard count from BITWAVE_CACHE_SHARDS
- * (one pair of knobs for all of them), falling back to per-cache
- * defaults, so long-running batches can bound residency.
+ * environment variable (one knob for all of them), falling back to a
+ * per-cache default, so long-running batches can bound residency.
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/annotations.hpp"
 #include "common/metrics.hpp"
@@ -51,14 +46,6 @@ namespace bitwave {
 std::size_t cache_capacity_from_env(std::size_t fallback);
 
 /**
- * Shard count of a process-wide cache: BITWAVE_CACHE_SHARDS when set
- * to a positive integer, else the smallest power of two covering the
- * machine's hardware concurrency (capped at 64). Always returns a
- * power of two >= 1.
- */
-std::size_t cache_shards_from_env();
-
-/**
  * Thread-safe LRU map from Key to immutable shared values.
  *
  * @tparam Key   hashable, equality-comparable, copyable key.
@@ -68,10 +55,24 @@ template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruCache
 {
   public:
-    /// @p capacity entries are retained; at least 1 is enforced.
-    explicit LruCache(std::size_t capacity)
-        : capacity_(capacity > 0 ? capacity : 1)
+    /**
+     * @p capacity entries are retained (at least 1). A non-null
+     * @p metric_name publishes the cache's hit/miss/eviction counters
+     * as `cache.<metric_name>.{hits,misses,evictions}` in the global
+     * metrics registry (the hits()/misses()/evictions() accessors then
+     * read the registry counters, and snapshots/Prometheus dumps see
+     * this cache by name).
+     */
+    explicit LruCache(std::size_t capacity,
+                      const char *metric_name = nullptr)
+        : capacity_(std::max<std::size_t>(capacity, 1))
     {
+        if (metric_name != nullptr) {
+            const std::string prefix = std::string("cache.") + metric_name;
+            hits_ = &metrics::counter(prefix + ".hits");
+            misses_ = &metrics::counter(prefix + ".misses");
+            evictions_ = &metrics::counter(prefix + ".evictions");
+        }
     }
 
     /**
@@ -85,140 +86,12 @@ class LruCache
                                               bool *was_hit = nullptr)
     {
         std::shared_ptr<Entry> entry;
-        {
-            MutexLock lock(mutex_);
-            auto it = map_.find(key);
-            if (was_hit != nullptr) {
-                *was_hit = it != map_.end();
-            }
-            if (it != map_.end()) {
-                order_.splice(order_.begin(), order_, it->second);
-                entry = *it->second;
-                ++hits_;
-            } else {
-                entry = std::make_shared<Entry>();
-                order_.push_front(entry);
-                map_.emplace(key, order_.begin());
-                entry->key = key;
-                ++misses_;
-                while (map_.size() > capacity_) {
-                    map_.erase(order_.back()->key);
-                    order_.pop_back();
-                }
-            }
-        }
-        std::call_once(entry->once, [&] {
-            entry->value = std::make_shared<const Value>(build());
-        });
-        return entry->value;
-    }
-
-    std::size_t size() const
-    {
-        MutexLock lock(mutex_);
-        return map_.size();
-    }
-    std::size_t capacity() const { return capacity_; }
-    std::int64_t hits() const
-    {
-        MutexLock lock(mutex_);
-        return hits_;
-    }
-    std::int64_t misses() const
-    {
-        MutexLock lock(mutex_);
-        return misses_;
-    }
-
-  private:
-    struct Entry
-    {
-        Key key{};
-        std::once_flag once;
-        std::shared_ptr<const Value> value;
-    };
-
-    mutable MutexCap mutex_;
-    /// Front = most recent.
-    std::list<std::shared_ptr<Entry>> order_ GUARDED_BY(mutex_);
-    std::unordered_map<Key,
-                       typename std::list<std::shared_ptr<Entry>>::iterator,
-                       Hash>
-        map_ GUARDED_BY(mutex_);
-    std::size_t capacity_;
-    std::int64_t hits_ GUARDED_BY(mutex_) = 0;
-    std::int64_t misses_ GUARDED_BY(mutex_) = 0;
-};
-
-/**
- * Sharded thread-safe LRU map from Key to immutable shared values.
- *
- * The key's hash selects one of `shards()` lock-striped shards
- * (power-of-two count, so selection is a mask over a mixed hash), and
- * each shard holds `ceil(capacity / shards)` entries under its own
- * shared_mutex. The hot read path — a hit on a resident entry — takes
- * the shard lock *shared* and records recency with a relaxed atomic
- * tick, so concurrent readers of the bit-plane / stats / flip-twin
- * caches never serialize; only a miss (insert + possible eviction)
- * takes the shard lock exclusively. Eviction removes the entry with
- * the smallest tick, which for sequential access is exactly the
- * least-recently-used entry of the `LruCache` oracle.
- */
-template <typename Key, typename Value, typename Hash = std::hash<Key>>
-class ShardedLruCache
-{
-  public:
-    /**
-     * @p capacity total entries (distributed over the shards, at least
-     * one each); @p shards a power-of-two shard count, 0 = the
-     * BITWAVE_CACHE_SHARDS / hardware default. A non-null
-     * @p metric_name publishes the cache's hit/miss/eviction counters
-     * as `cache.<metric_name>.{hits,misses,evictions}` in the global
-     * metrics registry (the hits()/misses()/evictions() accessors then
-     * read the registry counters, and snapshots/Prometheus dumps see
-     * this cache by name).
-     */
-    explicit ShardedLruCache(std::size_t capacity, std::size_t shards = 0,
-                             const char *metric_name = nullptr)
-    {
-        if (metric_name != nullptr) {
-            const std::string prefix = std::string("cache.") + metric_name;
-            hits_ = &metrics::counter(prefix + ".hits");
-            misses_ = &metrics::counter(prefix + ".misses");
-            evictions_ = &metrics::counter(prefix + ".evictions");
-        }
-        if (shards == 0) {
-            shards = cache_shards_from_env();
-        }
-        std::size_t pow2 = 1;
-        while (pow2 < shards && pow2 < 64) {
-            pow2 <<= 1;
-        }
-        shards_.resize(pow2);
-        shard_capacity_ =
-            (std::max<std::size_t>(capacity, 1) + pow2 - 1) / pow2;
-        for (auto &shard : shards_) {
-            shard = std::make_unique<Shard>();
-        }
-    }
-
-    /**
-     * Return the cached value for @p key, building it via `build()` on
-     * the first request — same contract as LruCache::get_or_build, plus
-     * the shared-lock fast path for hits.
-     */
-    template <typename Build>
-    std::shared_ptr<const Value> get_or_build(const Key &key, Build &&build,
-                                              bool *was_hit = nullptr)
-    {
-        Shard &shard = *shards_[shard_index(key)];
-        std::shared_ptr<Entry> entry;
         bool hit = false;
         {
-            SharedLock lock(shard.mutex);
+            SharedLock lock(mutex_);
             // as_const: the const find() overload keeps this a *read*
             // of the guarded map, legal under the shared capability.
-            const auto &map = std::as_const(shard.map);
+            const auto &map = std::as_const(map_);
             auto it = map.find(key);
             if (it != map.end()) {
                 entry = it->second;
@@ -227,20 +100,17 @@ class ShardedLruCache
             }
         }
         if (!hit) {
-            ExclusiveLock lock(shard.mutex);
-            auto it = shard.map.find(key);
-            if (it != shard.map.end()) {
-                // Raced with another inserter between the locks.
-                entry = it->second;
-                hit = true;
+            ExclusiveLock lock(mutex_);
+            auto [it, inserted] = map_.try_emplace(key);
+            if (inserted) {
+                it->second = std::make_shared<Entry>();
             } else {
-                entry = std::make_shared<Entry>();
-                entry->key = key;
-                shard.map.emplace(key, entry);
+                hit = true;  // Raced with another inserter between locks.
             }
+            entry = it->second;
             bump_recency(*entry);
-            while (shard.map.size() > shard_capacity_) {
-                evict_oldest(shard);
+            while (map_.size() > capacity_) {
+                evict_oldest();
             }
         }
         (hit ? *hits_ : *misses_).inc();
@@ -255,18 +125,10 @@ class ShardedLruCache
 
     std::size_t size() const
     {
-        std::size_t total = 0;
-        for (const auto &shard : shards_) {
-            SharedLock lock(shard->mutex);
-            total += shard->map.size();
-        }
-        return total;
+        SharedLock lock(mutex_);
+        return map_.size();
     }
-    std::size_t capacity() const
-    {
-        return shard_capacity_ * shards_.size();
-    }
-    std::size_t shards() const { return shards_.size(); }
+    std::size_t capacity() const { return capacity_; }
     std::int64_t hits() const
     {
         return static_cast<std::int64_t>(hits_->value());
@@ -283,17 +145,9 @@ class ShardedLruCache
   private:
     struct Entry
     {
-        Key key{};
         std::once_flag once;
         std::shared_ptr<const Value> value;
         std::atomic<std::uint64_t> tick{0};  ///< Last-access recency.
-    };
-
-    struct Shard
-    {
-        mutable SharedMutexCap mutex;
-        std::unordered_map<Key, std::shared_ptr<Entry>, Hash>
-            map GUARDED_BY(mutex);
     };
 
     void bump_recency(Entry &entry)
@@ -302,39 +156,27 @@ class ShardedLruCache
                          std::memory_order_relaxed);
     }
 
-    std::size_t shard_index(const Key &key) const
+    void evict_oldest() REQUIRES(mutex_)
     {
-        // splitmix64 finalizer: shard selection must survive identity
-        // std::hash (small ints land in one shard otherwise).
-        std::uint64_t h = static_cast<std::uint64_t>(Hash{}(key));
-        h ^= h >> 30;
-        h *= 0xBF58476D1CE4E5B9ULL;
-        h ^= h >> 27;
-        h *= 0x94D049BB133111EBULL;
-        h ^= h >> 31;
-        return static_cast<std::size_t>(h) & (shards_.size() - 1);
-    }
-
-    void evict_oldest(Shard &shard) REQUIRES(shard.mutex)
-    {
-        auto oldest = shard.map.end();
-        std::uint64_t oldest_tick = ~std::uint64_t{0};
-        for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
+        auto oldest = map_.begin();
+        std::uint64_t oldest_tick =
+            oldest->second->tick.load(std::memory_order_relaxed);
+        for (auto it = std::next(oldest); it != map_.end(); ++it) {
             const std::uint64_t t =
                 it->second->tick.load(std::memory_order_relaxed);
-            if (oldest == shard.map.end() || t < oldest_tick) {
+            if (t < oldest_tick) {
                 oldest = it;
                 oldest_tick = t;
             }
         }
-        if (oldest != shard.map.end()) {
-            shard.map.erase(oldest);
-            evictions_->inc();
-        }
+        map_.erase(oldest);
+        evictions_->inc();
     }
 
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::size_t shard_capacity_ = 1;
+    mutable SharedMutexCap mutex_;
+    std::unordered_map<Key, std::shared_ptr<Entry>, Hash>
+        map_ GUARDED_BY(mutex_);
+    const std::size_t capacity_;
     std::atomic<std::uint64_t> tick_{0};
     /// Unnamed caches count into their own private counters; named
     /// ones point at registry counters (stable addresses, never

@@ -152,8 +152,8 @@ layer_stats(const Scenario &scenario, const WorkloadLayer &layer,
         key = hash_combine(key, static_cast<std::uint64_t>(d));
     }
 
-    static ShardedLruCache<std::uint64_t, LayerStatsEval> memo(
-        cache_capacity_from_env(256), 0, "stats_memo");
+    static LruCache<std::uint64_t, LayerStatsEval> memo(
+        cache_capacity_from_env(256), "stats_memo");
     bool was_hit = false;
     auto stats = memo.get_or_build(
         key, [&] { return build_layer_stats(spec, w, weights_hash); },
@@ -187,10 +187,7 @@ prepare_scenario(const Scenario &scenario)
         prep.owned = scenario.custom_workload;
         prep.workload = prep.owned.get();
     } else if (scenario.workload_seed == kCachedWorkloadSeed) {
-        // Hold the shared instance through the prep keepalive so the
-        // LRU can evict it once the last evaluation finishes.
-        prep.owned = shared_workload(scenario.workload);
-        prep.workload = prep.owned.get();
+        prep.workload = &get_workload(scenario.workload);
     } else {
         prep.owned = std::make_shared<Workload>(
             build_workload(scenario.workload, scenario.workload_seed));

@@ -129,7 +129,7 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
             }
         }
         for (WorkloadId id : distinct) {
-            shared_workload(id);  // warm the LRU; preps re-fetch cheaply
+            shared_workload(id);  // fill its slot; preps re-fetch cheaply
         }
     }
 

@@ -7,7 +7,7 @@
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
-#include "common/lru.hpp"
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "nn/synthesis.hpp"
 #include "nn/workload_io.hpp"
@@ -366,60 +366,65 @@ matches_current_builder(const Workload &loaded, WorkloadId id)
     return true;
 }
 
+/// The seed-0x5eed instance of @p id: loaded from the on-disk synthesis
+/// cache (BITWAVE_WORKLOAD_CACHE) when a valid entry exists, otherwise
+/// synthesized and saved there.
+Workload
+load_or_build(WorkloadId id)
+{
+    constexpr std::uint64_t kSeed = 0x5eed;
+    const std::string dir = workload_cache_dir();
+    if (dir.empty()) {
+        return build_workload(id, kSeed);
+    }
+    // Cold path housekeeping: sweep temp droppings of writers that died
+    // mid-save, so the cache dir cannot fill with orphans under a
+    // long-running service.
+    remove_stale_temp_files(dir, /*max_age_seconds=*/600.0);
+    const std::string path =
+        workload_cache_path(dir, workload_name(id), kSeed);
+    Workload loaded;
+    if (load_cached_workload(path, &loaded) &&
+        matches_current_builder(loaded, id)) {
+        return loaded;
+    }
+    Workload built = build_workload(id, kSeed);
+    save_workload(built, path);  // best effort
+    return built;
+}
+
 }  // namespace
 
 std::shared_ptr<const Workload>
 shared_workload(WorkloadId id)
 {
-    // Bounded sharded LRU: each resident entry synthesized (or
-    // disk-loaded) at most once under its own flag, so concurrent first
-    // touches of *different* workloads never serialize behind one
-    // global mutex, and warm fetches from the worker pool take a shard
-    // lock shared. BITWAVE_CACHE_ENTRIES below 4 bounds how many of
-    // the ~10-100 MB networks stay resident at once; rebuilds are
-    // deterministic and the on-disk cache (BITWAVE_WORKLOAD_CACHE)
-    // makes them cheap.
-    static ShardedLruCache<int, Workload> cache(cache_capacity_from_env(4),
-                                                0, "workloads");
-    return cache.get_or_build(static_cast<int>(id), [&] {
-        constexpr std::uint64_t kSeed = 0x5eed;
-        const std::string dir = workload_cache_dir();
-        if (!dir.empty()) {
-            // Cold path housekeeping: sweep temp droppings of writers
-            // that died mid-save, so the cache dir cannot fill with
-            // orphans under a long-running service.
-            remove_stale_temp_files(dir, /*max_age_seconds=*/600.0);
-            const std::string path =
-                workload_cache_path(dir, workload_name(id), kSeed);
-            Workload loaded;
-            if (load_cached_workload(path, &loaded) &&
-                matches_current_builder(loaded, id)) {
-                return loaded;
-            }
-            Workload built = build_workload(id, kSeed);
-            save_workload(built, path);  // best effort
-            return built;
-        }
-        return build_workload(id, kSeed);
+    // One slot per network, filled once under its own flag: concurrent
+    // first touches of *different* workloads never serialize, a warm
+    // fetch is a flag check, and a filled slot is never emptied.
+    struct Slot
+    {
+        std::once_flag once;
+        std::shared_ptr<const Workload> workload;
+    };
+    static std::array<Slot, std::size(kAllWorkloads)> slots;
+    static metrics::Counter &hits = metrics::counter("cache.workloads.hits");
+    static metrics::Counter &misses =
+        metrics::counter("cache.workloads.misses");
+
+    Slot &slot = slots[static_cast<std::size_t>(id)];
+    bool built = false;
+    std::call_once(slot.once, [&] {
+        slot.workload = std::make_shared<const Workload>(load_or_build(id));
+        built = true;
     });
+    (built ? misses : hits).inc();
+    return slot.workload;
 }
 
 const Workload &
 get_workload(WorkloadId id)
 {
-    // Pin the shared instance for the process lifetime: references
-    // handed out here must survive LRU eviction. The scenario engine
-    // holds workloads via shared_workload() instead and participates in
-    // the bound.
-    static std::array<std::shared_ptr<const Workload>, 4> pins;
-    static std::mutex pin_mutex;
-    std::shared_ptr<const Workload> w = shared_workload(id);
-    std::lock_guard<std::mutex> lock(pin_mutex);
-    auto &slot = pins[static_cast<std::size_t>(id)];
-    if (!slot) {
-        slot = std::move(w);
-    }
-    return *slot;
+    return *shared_workload(id);
 }
 
 }  // namespace bitwave

@@ -53,8 +53,8 @@ cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
         return std::make_shared<const ColumnCycleStats>(
             column_cycle_stats(planes, desc, group_size, ku));
     }
-    static ShardedLruCache<std::uint64_t, ColumnCycleStats> memo(
-        cache_capacity_from_env(4096), 0, "mapping_cycles");
+    static LruCache<std::uint64_t, ColumnCycleStats> memo(
+        cache_capacity_from_env(4096), "mapping_cycles");
     return memo.get_or_build(
         cycle_stats_key(planes, desc, group_size, ku, content_hash),
         [&] { return column_cycle_stats(planes, desc, group_size, ku); });
@@ -71,8 +71,8 @@ cached_bcs_size(const BitPlanes &planes, int group_size,
     std::uint64_t key = hash_combine(
         content_hash, static_cast<std::uint64_t>(planes.repr));
     key = hash_combine(key, static_cast<std::uint64_t>(group_size));
-    static ShardedLruCache<std::uint64_t, BcsSizeInfo> memo(
-        cache_capacity_from_env(4096), 0, "mapping_bcs");
+    static LruCache<std::uint64_t, BcsSizeInfo> memo(
+        cache_capacity_from_env(4096), "mapping_bcs");
     return memo.get_or_build(
         key, [&] { return bcs_measure(planes, group_size); });
 }

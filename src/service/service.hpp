@@ -17,8 +17,8 @@
  *  - **Dynamic batching.** A dispatcher pops one job, then gathers more
  *    (up to `max_batch`, lingering `linger_seconds` for company) into a
  *    single ScenarioRunner batch, so the work-stealing pool and the
- *    content-hash caches (bit-planes, Bit-Flip twins, workload LRU,
- *    mapping memos) see cross-tenant locality instead of singletons.
+ *    content-hash caches (bit-planes, Bit-Flip twins, mapping memos)
+ *    see cross-tenant locality instead of singletons.
  *
  *  - **Admission control.** The queue is bounded; `BackpressurePolicy`
  *    picks what saturation means: block the submitter, reject the new

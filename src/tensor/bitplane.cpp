@@ -281,13 +281,13 @@ scan_zero_column_histogram(const BitPlanes &planes, std::int64_t row_len,
 
 namespace {
 
-ShardedLruCache<std::uint64_t, BitPlanes> &
+LruCache<std::uint64_t, BitPlanes> &
 bitplane_cache()
 {
-    // Sharded: concurrent warm lookups from the worker pool take a
-    // shard's lock shared and never contend with each other.
-    static ShardedLruCache<std::uint64_t, BitPlanes> cache(
-        cache_capacity_from_env(256), 0, "bitplanes");
+    // Concurrent warm lookups from the worker pool take the cache lock
+    // shared and never contend with each other.
+    static LruCache<std::uint64_t, BitPlanes> cache(
+        cache_capacity_from_env(256), "bitplanes");
     return cache;
 }
 

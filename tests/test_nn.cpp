@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "nn/accuracy.hpp"
 #include "nn/reference.hpp"
@@ -128,6 +130,43 @@ TEST(Workloads, WeightShapesMatchDescriptors)
                       WorkloadLayer::weight_shape(l.desc))
                 << w.name << "/" << l.desc.name;
         }
+    }
+}
+
+TEST(Workloads, SharedInstancesStayResidentUnderConcurrentFetches)
+{
+    // Once all four networks are resolved, no access pattern may
+    // re-synthesize one: 8 threads alternating ResNet18 and BERT-Base
+    // (the pair a per-shard capacity of one used to make evict each
+    // other) through both accessors must leave the miss counter still.
+    for (auto id : kAllWorkloads) {
+        get_workload(id);
+    }
+    const std::uint64_t misses =
+        metrics::counter_value("cache.workloads.misses");
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 8; ++t) {
+        workers.emplace_back([t] {
+            for (int i = 0; i < 200; ++i) {
+                const WorkloadId id = (i + t) % 2 == 0
+                    ? WorkloadId::kResNet18
+                    : WorkloadId::kBertBase;
+                if (i % 3 == 0) {
+                    get_workload(id);
+                } else {
+                    shared_workload(id);
+                }
+            }
+        });
+    }
+    for (auto &w : workers) {
+        w.join();
+    }
+    EXPECT_EQ(metrics::counter_value("cache.workloads.misses"), misses);
+    EXPECT_EQ(metrics::counter_value("cache.workloads.evictions"), 0u);
+    for (auto id : kAllWorkloads) {
+        EXPECT_EQ(shared_workload(id).get(), &get_workload(id))
+            << "one instance per network: " << workload_name(id);
     }
 }
 
