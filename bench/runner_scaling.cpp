@@ -1,10 +1,9 @@
 /**
  * @file
  * Runner scaling bench — strong-scaling sweep of the ScenarioRunner's
- * work-stealing core against the legacy static-slice baseline.
+ * work-stealing core.
  *
- * Two sweeps share one thread grid (1/2/4/8/hw, both SchedulerKind
- * values):
+ * Two sweeps share one thread grid (1/2/4/8/hw):
  *
  *  - Identity: a warm mixed batch (analytical BitWave grid over every
  *    workload with and without heavy-layer Bit-Flip, one statistics
@@ -13,14 +12,17 @@
  *    determinism contract the adversarial tests enforce, measured here
  *    on a real batch.
  *  - Timing: the content-addressed caches make a repeated batch free,
- *    so each sweep point times a *fresh* batch instead — privately
- *    synthesized workloads (distinct `workload_seed` per point) with
- *    identical shapes, so every point pays the same synthesis and
- *    evaluation cost and nothing is served from a previous point's
- *    cache entries.
+ *    so each sweep point times *fresh* batches instead — privately
+ *    synthesized workloads (distinct `workload_seed` per batch) with
+ *    identical shapes, so every batch pays the same synthesis and
+ *    evaluation cost and nothing is served from an earlier batch's
+ *    cache entries. A point's wall is the median of three batches.
+ *    Synthesis runs inside the runner's layer units, so the walls
+ *    measure the whole cold pipeline; the 1-thread point, the serial
+ *    reference, runs it all on one core.
  *
  * Emits BENCH_runner_scaling.json; CI validates the row keys and
- * bit-identity always, and gates the 8-thread parallel efficiency when
+ * bit-identity always, and gates the 4-thread parallel efficiency when
  * the runner machine actually has that many cores.  `--metrics` arms
  * the registry and prints the Prometheus snapshot after the sweep;
  * `--trace <path>` records runner spans and writes Chrome trace JSON.
@@ -40,16 +42,9 @@ namespace {
 
 using bench::identical_results;
 
-const char *
-scheduler_name(eval::SchedulerKind kind)
-{
-    return kind == eval::SchedulerKind::kWorkSteal ? "worksteal"
-                                                   : "static_slice";
-}
-
 /// Warm identity batch: long analytical scenarios (BERT-Base dominates),
 /// a bag of short ones, one stats scenario and one cycle-sim probe —
-/// the imbalanced shape static slicing handles worst.
+/// an imbalanced shape only stealing spreads evenly.
 std::vector<eval::Scenario>
 make_identity_batch()
 {
@@ -133,22 +128,20 @@ main(int argc, char **argv)
         trace::start();
     }
     bench::banner("Runner scaling",
-                  "work-stealing vs static-slice strong scaling, "
+                  "work-stealing strong scaling, "
                   "bit-identity across thread counts");
     bench::JsonReport json("runner_scaling");
 
     const auto identity_batch = make_identity_batch();
-    const auto run_identity = [&](int threads,
-                                  eval::SchedulerKind scheduler) {
+    const auto run_identity = [&](int threads) {
         eval::RunnerOptions options;
         options.threads = threads;
         options.shard_layers = 4;
-        options.scheduler = scheduler;
         return eval::ScenarioRunner(options).run(identity_batch);
     };
     // Warms every cache and pins the golden results each sweep point
     // must reproduce.
-    const auto golden = run_identity(1, eval::SchedulerKind::kWorkSteal);
+    const auto golden = run_identity(1);
 
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::vector<int> sweep = {1, 2, 4, 8};
@@ -158,61 +151,70 @@ main(int argc, char **argv)
     }
     std::sort(sweep.begin(), sweep.end());
 
-    // Serial timing reference: point 0's batch at one thread.
-    double wall_1t = 0.0;
-    {
+    // Timed walls: the median of kRepeats fresh batches per point,
+    // after one untimed batch that warms the allocator and the thread
+    // machinery. Every batch has its own seeds, so none is served from
+    // an earlier batch's cache entries.
+    constexpr int kRepeats = 3;
+    std::uint64_t point = 0;
+    const auto run_timed = [&](int threads) {
         eval::RunnerReport report;
         eval::RunnerOptions options;
-        options.threads = 1;
+        options.threads = threads;
         options.shard_layers = 4;
-        eval::ScenarioRunner(options).run(make_timed_batch(0), &report);
-        wall_1t = report.wall_seconds;
-    }
+        eval::ScenarioRunner(options).run(make_timed_batch(point++),
+                                          &report);
+        return report;
+    };
+    run_timed(1);
 
-    Table t({"threads", "scheduler", "wall", "speedup", "efficiency",
-             "steals", "identical"});
+    struct Point
+    {
+        int threads = 0;
+        double wall = 0.0;
+        std::int64_t steals = 0;
+        bool identical = false;
+    };
+    std::vector<Point> points;
+    for (const int threads : sweep) {
+        Point p;
+        p.threads = threads;
+        p.identical = identical_results(golden, run_identity(threads));
+        std::vector<double> walls;
+        for (int r = 0; r < kRepeats; ++r) {
+            const eval::RunnerReport report = run_timed(threads);
+            walls.push_back(report.wall_seconds);
+            p.steals = report.steals;
+        }
+        std::sort(walls.begin(), walls.end());
+        p.wall = walls[kRepeats / 2];
+        points.push_back(p);
+    }
+    // The sweep is sorted and always holds 1: the serial reference.
+    const double wall_1t = points.front().wall;
+
+    Table t({"threads", "wall", "speedup", "efficiency", "steals",
+             "identical"});
     double efficiency_at_max = 1.0;
     std::int64_t steals_at_max = 0;
     bool all_identical = true;
-    std::uint64_t point = 1;
-    for (const int threads : sweep) {
-        for (const eval::SchedulerKind scheduler :
-             {eval::SchedulerKind::kWorkSteal,
-              eval::SchedulerKind::kStaticSlice}) {
-            const bool identical = identical_results(
-                golden, run_identity(threads, scheduler));
-
-            eval::RunnerReport report;
-            eval::RunnerOptions options;
-            options.threads = threads;
-            options.shard_layers = 4;
-            options.scheduler = scheduler;
-            eval::ScenarioRunner(options).run(make_timed_batch(point++),
-                                              &report);
-            const double wall = report.wall_seconds;
-            const double speedup = wall > 0.0 ? wall_1t / wall : 0.0;
-            const double efficiency = speedup / threads;
-            if (scheduler == eval::SchedulerKind::kWorkSteal &&
-                threads == sweep.back()) {
-                efficiency_at_max = efficiency;
-                steals_at_max = report.steals;
-            }
-            all_identical = all_identical && identical;
-            t.add_row({strprintf("%d", threads),
-                       scheduler_name(scheduler),
-                       strprintf("%.3fs", wall), fmt_ratio(speedup),
-                       fmt_percent(efficiency, 1),
-                       strprintf("%lld",
-                                 static_cast<long long>(report.steals)),
-                       identical ? "yes" : "NO"});
-            json.add_row({{"threads", threads},
-                          {"scheduler", scheduler_name(scheduler)},
-                          {"wall_s", wall},
-                          {"speedup_vs_1t", speedup},
-                          {"efficiency", efficiency},
-                          {"steals", report.steals},
-                          {"identical", identical}});
-        }
+    for (const Point &p : points) {
+        const double speedup = p.wall > 0.0 ? wall_1t / p.wall : 0.0;
+        const double efficiency = speedup / p.threads;
+        efficiency_at_max = efficiency;  // the last point is the widest
+        steals_at_max = p.steals;
+        all_identical = all_identical && p.identical;
+        t.add_row({strprintf("%d", p.threads), strprintf("%.3fs", p.wall),
+                   fmt_ratio(speedup), fmt_percent(efficiency, 1),
+                   strprintf("%lld", static_cast<long long>(p.steals)),
+                   p.identical ? "yes" : "NO"});
+        json.add_row({{"threads", p.threads},
+                      {"scheduler", "worksteal"},
+                      {"wall_s", p.wall},
+                      {"speedup_vs_1t", speedup},
+                      {"efficiency", efficiency},
+                      {"steals", p.steals},
+                      {"identical", p.identical}});
     }
 
     json.param("hardware_concurrency", hw);
@@ -227,10 +229,11 @@ main(int argc, char **argv)
     std::printf("%s", t.render().c_str());
     std::printf("\nhardware_concurrency=%u; every sweep point re-ran the "
                 "warm identity batch bit-identically to the 1-thread "
-                "golden run. Timed walls use fresh privately-synthesized "
-                "batches so the content caches cannot serve a previous "
-                "point's work. Thread counts above the core count "
-                "measure oversubscription, not scaling.\n", hw);
+                "golden run. Timed walls are the median of %d fresh "
+                "privately-synthesized batches so the content caches "
+                "cannot serve an earlier batch's work. Thread counts "
+                "above the core count measure oversubscription, not "
+                "scaling.\n", hw, kRepeats);
     if (!trace_path.empty()) {
         const std::size_t written = trace::write_json(trace_path);
         std::printf("\nwrote %zu trace events to %s\n", written,

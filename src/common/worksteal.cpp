@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -21,6 +22,19 @@ detail::parallel_depth()
 }
 
 namespace {
+
+/// Marks the calling thread as inside a parallel frame while alive.
+class SerialFrame
+{
+  public:
+    SerialFrame() : saved_(std::exchange(detail::parallel_depth(), 1)) {}
+    ~SerialFrame() { detail::parallel_depth() = saved_; }
+    SerialFrame(const SerialFrame &) = delete;
+    SerialFrame &operator=(const SerialFrame &) = delete;
+
+  private:
+    int saved_;
+};
 
 /// A [begin, end) range packed into one lock-free word (32 bits each;
 /// the impl falls back to inline execution before n can overflow).
@@ -282,8 +296,15 @@ detail::worksteal_run_impl(
     // (BITWAVE_THREADS=1 lands here), nothing to split, or an index
     // space too large for the packed ranges. No thread, deque, or
     // allocation is constructed — the caller's thread runs the loop.
-    if (parallel_depth() > 0 || threads <= 1 || n <= grain ||
-        n > 0xFFFFFFFFULL) {
+    // A single worker is a serial frame: the body runs marked as one,
+    // so loops nested in it stay on this thread too.
+    if (parallel_depth() == 0 && threads <= 1) {
+        const SerialFrame frame;
+        body(0, n);
+        stats.chunks = 1;
+        return stats;
+    }
+    if (parallel_depth() > 0 || n <= grain || n > 0xFFFFFFFFULL) {
         body(0, n);
         stats.chunks = 1;
         return stats;

@@ -26,7 +26,10 @@
  *
  * With 1 effective worker (including `BITWAVE_THREADS=1`) or a body
  * already running inside a worker (nesting), the loop runs inline on
- * the caller — no thread, deque, or allocation is constructed.
+ * the caller — no thread, deque, or allocation is constructed. A
+ * single worker marks the caller's frame, so loops nested in its body
+ * run inline on the caller as well: `threads = 1` is serial all the
+ * way down.
  */
 #pragma once
 

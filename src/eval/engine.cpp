@@ -176,22 +176,34 @@ layer_rng_seed(std::uint64_t scenario_seed, std::size_t layer_index)
                         static_cast<std::uint64_t>(layer_index) + 1);
 }
 
+std::shared_ptr<PendingWorkload>
+scenario_network(const Scenario &scenario)
+{
+    if (scenario.custom_workload) {
+        return nullptr;
+    }
+    if (scenario.workload_seed == kCachedWorkloadSeed) {
+        return shared_network(scenario.workload);
+    }
+    return std::make_shared<PendingWorkload>(scenario.workload,
+                                             scenario.workload_seed);
+}
+
 ScenarioPrep
-prepare_scenario(const Scenario &scenario)
+prepare_scenario(const Scenario &scenario,
+                 std::shared_ptr<PendingWorkload> network)
 {
     ScenarioPrep prep;
 
-    // Workload: the shared cached synthesis, or a private deterministic
-    // one salted with the scenario's own seed.
+    // Workload: a custom one, or the skeleton of a pending network
+    // (shared, or private and salted with the scenario's own seed).
     if (scenario.custom_workload) {
         prep.owned = scenario.custom_workload;
         prep.workload = prep.owned.get();
-    } else if (scenario.workload_seed == kCachedWorkloadSeed) {
-        prep.workload = &get_workload(scenario.workload);
     } else {
-        prep.owned = std::make_shared<Workload>(
-            build_workload(scenario.workload, scenario.workload_seed));
-        prep.workload = prep.owned.get();
+        prep.network =
+            network ? std::move(network) : scenario_network(scenario);
+        prep.workload = &prep.network->workload();
     }
 
     // Layer selection: the filter's indices in workload order.
@@ -236,6 +248,9 @@ evaluate_layer_range(const Scenario &scenario, const ScenarioPrep &prep,
 
     const auto layer_inputs = [&](std::size_t sel) {
         const std::size_t l = prep.layers[sel];
+        if (prep.network) {
+            prep.network->materialize(l);
+        }
         LayerContext ctx;
         ctx.first_layer = l == 0;
         ctx.last_layer = l + 1 == w.layers.size();

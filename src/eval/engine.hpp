@@ -12,14 +12,18 @@
  * Evaluation is split into three phases so the ScenarioRunner can shard
  * one scenario's layers across its worker pool:
  *
- *   prepare_scenario()     resolve workload + weights + layer selection
- *   evaluate_layer_range() evaluate a contiguous slice of the selection
+ *   prepare_scenario()     resolve the network skeleton, layer selection
+ *                          and Bit-Flip flags (cheap; never synthesizes)
+ *   evaluate_layer_range() per layer of a contiguous slice of the
+ *                          selection: synthesize the layer if pending,
+ *                          flip it if selected, evaluate it
  *   finalize_scenario()    stitch slices into one ScenarioResult
  *
- * Every layer is evaluated independently from a seed stream derived from
- * (scenario seed, layer index), and finalize accumulates totals in layer
- * order — results are bit-identical no matter how the slices were cut or
- * which threads ran them.
+ * Every layer synthesizes and evaluates from seed streams derived from
+ * (network seed, layer index) and (scenario seed, layer index), and
+ * finalize accumulates totals in layer order — results are
+ * bit-identical no matter how the slices were cut or which threads ran
+ * them.
  */
 #pragma once
 
@@ -106,30 +110,47 @@ struct ScenarioResult
 };
 
 /**
- * Fully resolved inputs of one scenario evaluation. Immutable once
- * built; layer shards evaluated on different threads share one prep.
+ * Resolved inputs of one scenario evaluation. Immutable once built;
+ * layer shards evaluated on different threads share one prep. The
+ * network's weights may still be pending: evaluate_layer_range()
+ * materializes each layer it reads.
  */
 struct ScenarioPrep
 {
-    /// Keepalive for privately synthesized / custom workloads.
+    /// Keepalive for a custom workload.
     std::shared_ptr<const Workload> owned;
     const Workload *workload = nullptr;
+    /// The on-demand network behind `workload` (null for custom
+    /// workloads, whose weights are all present). Scenarios of one
+    /// batch on the same (workload, seed) share one.
+    std::shared_ptr<PendingWorkload> network;
     /// Per-layer explicit weights (the scenario's weight_override,
     /// aliased not copied); null = the layer's own tensor, possibly
     /// Bit-Flipped per `flip` below.
     std::vector<std::shared_ptr<const Int8Tensor>> weights;
     /// Per-layer flag: evaluate this layer on its Bit-Flipped twin
     /// (resolved lazily through the preparation cache by whichever
-    /// shard reaches the layer first — heavy flips parallelize with
-    /// the evaluation instead of serializing preparation).
+    /// shard reaches the layer first).
     std::vector<std::uint8_t> flip;
     /// Selected layer indices, ascending (all layers when no filter).
     std::vector<std::size_t> layers;
 };
 
-/// Resolve a scenario's workload, weight preparation and layer
-/// selection. Thread-safe; hits the synthesis and Bit-Flip caches.
-ScenarioPrep prepare_scenario(const Scenario &scenario);
+/// The pending network @p scenario evaluates: the shared slot for
+/// kCachedWorkloadSeed, otherwise a private network salted with the
+/// scenario's workload_seed. Null for custom workloads. Never
+/// synthesizes.
+std::shared_ptr<PendingWorkload> scenario_network(const Scenario &scenario);
+
+/**
+ * Resolve a scenario's network skeleton, layer selection and Bit-Flip
+ * flags. Thread-safe and cheap: it never synthesizes weights.
+ * @p network is the scenario's scenario_network() when the caller
+ * shares one across scenarios; null resolves it here.
+ */
+ScenarioPrep prepare_scenario(const Scenario &scenario,
+                              std::shared_ptr<PendingWorkload> network =
+                                  nullptr);
 
 /// Seed of one layer's evaluation stream within a scenario stream.
 std::uint64_t layer_rng_seed(std::uint64_t scenario_seed,
@@ -137,9 +158,9 @@ std::uint64_t layer_rng_seed(std::uint64_t scenario_seed,
 
 /**
  * Evaluate the slice [begin, end) of @p prep.layers and return its
- * LayerEval records in selection order. Pure function of
- * (scenario, prep, rng_seed, slice) — safe to call concurrently for
- * disjoint slices of the same prep.
+ * LayerEval records in selection order, synthesizing each pending layer
+ * first. Pure function of (scenario, prep, rng_seed, slice) — safe to
+ * call concurrently for any slices of the same prep.
  */
 std::vector<LayerEval> evaluate_layer_range(const Scenario &scenario,
                                             const ScenarioPrep &prep,
@@ -162,9 +183,9 @@ ScenarioResult finalize_scenario(const Scenario &scenario,
  *
  * The ScenarioRunner shards this pipeline over its worker threads;
  * single evaluations call it directly. @p rng_seed seeds every
- * stochastic component of the evaluation (private workload synthesis
- * salt, the simulator's synthetic activations) so results depend only on
- * the (scenario, seed) pair — never on scheduling.
+ * stochastic component of the evaluation (the simulator's synthetic
+ * activations) so results depend only on the (scenario, seed) pair —
+ * never on scheduling.
  */
 ScenarioResult evaluate_scenario(const Scenario &scenario,
                                  std::uint64_t rng_seed = 0);

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
+#include <map>
+#include <memory>
 #include <utility>
 
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "common/worksteal.hpp"
 
@@ -114,50 +112,36 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     };
     check_cancel();
 
-    // Resolve shared workloads up front, from this (un-nested) thread:
-    // per-layer synthesis streams only fan out when the build is not
-    // already inside a worker frame, so a cold BERT-Base synthesizes
-    // on all cores here instead of on one worker inside Phase A.
-    {
-        std::vector<WorkloadId> distinct;
-        for (const auto &s : scenarios) {
-            if (!s.custom_workload &&
-                s.workload_seed == kCachedWorkloadSeed &&
-                std::find(distinct.begin(), distinct.end(), s.workload) ==
-                    distinct.end()) {
-                distinct.push_back(s.workload);
-            }
-        }
-        for (WorkloadId id : distinct) {
-            shared_workload(id);  // fill its slot; preps re-fetch cheaply
-        }
-    }
-
-    // Phase A — prepare every scenario (workload resolution, Bit-Flip
-    // preparation, layer selection). Preparation of different scenarios
-    // parallelizes; the synthesis and flip caches deduplicate shared
-    // work across them.
+    // Resolve every scenario: network skeleton, layer selection and
+    // Bit-Flip flags. Nothing synthesizes here. Scenarios on the same
+    // (workload, seed) share one pending network, so each of its layers
+    // synthesizes once per batch, inside whichever unit reaches it
+    // first.
     std::vector<ScenarioPrep> preps(n);
     std::vector<std::uint64_t> seeds(n);
-    std::vector<double> prep_seconds(n, 0.0);
-    const int prep_threads = effective_threads(n);
-    parallel_for(n, [&](std::size_t i) {
-        check_cancel();
-        trace::Span span("runner.prepare", "runner");
-        span.arg("scenario", i);
-        const auto p0 = std::chrono::steady_clock::now();
-        seeds[i] = seed_overrides.empty()
-            ? scenario_rng_seed(scenarios[i], i)
-            : seed_overrides[i];
-        preps[i] = prepare_scenario(scenarios[i]);
-        prep_seconds[i] = seconds_since(p0);
-    }, prep_threads);
+    std::map<std::pair<WorkloadId, std::uint64_t>,
+             std::shared_ptr<PendingWorkload>>
+        networks;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Scenario &s = scenarios[i];
+        seeds[i] = seed_overrides.empty() ? scenario_rng_seed(s, i)
+                                          : seed_overrides[i];
+        std::shared_ptr<PendingWorkload> network;
+        if (!s.custom_workload) {
+            auto &shared = networks[{s.workload, s.workload_seed}];
+            if (!shared) {
+                shared = scenario_network(s);
+            }
+            network = shared;
+        }
+        preps[i] = prepare_scenario(s, std::move(network));
+    }
 
-    // Phase B — drain the flat unit space (one unit = one selected
-    // layer). Each scenario is one coarse splittable task; the grain is
-    // shard_layers. Chunk boundaries only affect scheduling, never
-    // results: every layer evaluates from its own (scenario, layer)
-    // stream.
+    // The flat unit space: one unit = one selected layer = synthesize
+    // it if pending, flip it if selected, evaluate it. Each scenario is
+    // one coarse splittable task; the grain is shard_layers. Chunk
+    // boundaries only affect scheduling, never results: every layer
+    // synthesizes and evaluates from its own seed streams.
     UnitSpace units;
     units.offsets.resize(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -172,12 +156,13 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     for (std::size_t i = 0; i < n; ++i) {
         layer_results[i].resize(preps[i].layers.size());
     }
-    // Per-scenario evaluation cost, accumulated lock-free across the
-    // chunks that touched the scenario (diagnostics only).
+    // Per-scenario cost (synthesis and evaluation of its units),
+    // accumulated lock-free across the chunks that touched the scenario
+    // (diagnostics only).
     std::vector<std::atomic<std::int64_t>> eval_nanos(n);
 
-    // One chunk [begin, end) of the unit space: evaluate each
-    // per-scenario sub-range and scatter the records into place.
+    // One chunk [begin, end) of the unit space: synthesize and evaluate
+    // each per-scenario sub-range and scatter the records into place.
     // Disjoint chunks write disjoint slots.
     const auto execute = [&](std::size_t begin, std::size_t end) {
         // Cancellation polls once per chunk: the flag rides the
@@ -201,6 +186,21 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
             const std::uint64_t tr0 =
                 trace::enabled() ? trace::now_ns() : 0;
             const auto s0 = std::chrono::steady_clock::now();
+            // Synthesize the sub-range's pending layers that no other
+            // unit is building; evaluation then waits for the rest, so
+            // units walking one network split its synthesis instead of
+            // queueing behind each other.
+            for (std::size_t sel = local_begin;
+                 preps[i].network && sel < local_end; ++sel) {
+                const std::size_t l = preps[i].layers[sel];
+                const std::uint64_t sy0 =
+                    trace::enabled() ? trace::now_ns() : 0;
+                if (preps[i].network->try_materialize(l) && sy0 != 0) {
+                    trace::emit_complete("runner.synth", "runner", sy0,
+                                         trace::now_ns() - sy0, "scenario",
+                                         i, "layer", l);
+                }
+            }
             auto evals = evaluate_layer_range(scenarios[i], preps[i],
                                               seeds[i], local_begin,
                                               local_end);
@@ -225,79 +225,14 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     };
 
     const int threads = effective_threads(total_units);
-    WorkstealStats sched;
-    sched.threads_used = threads;
-    switch (options_.scheduler) {
-      case SchedulerKind::kWorkSteal: {
-        WorkstealOptions wopts;
-        wopts.threads = threads;
-        wopts.grain = grain;
-        wopts.chaos_seed = options_.chaos_seed;
-        sched = worksteal_run(total_units, execute, wopts);
-        break;
-      }
-      case SchedulerKind::kStaticSlice: {
-        // Legacy baseline for the A/B benches: pre-chop the unit space
-        // into grain-sized chunks and statically slice the chunk list
-        // over the workers. No stealing — a worker that drew the BERT
-        // tail keeps it.
-        std::vector<std::pair<std::size_t, std::size_t>> chunks;
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t b = units.offsets[i];
-                 b < units.offsets[i + 1]; b += grain) {
-                chunks.emplace_back(
-                    b, std::min(b + grain, units.offsets[i + 1]));
-            }
-        }
-        sched.chunks = static_cast<std::int64_t>(chunks.size());
-        if (threads <= 1 || chunks.size() <= 1) {
-            for (const auto &[b, e] : chunks) {
-                execute(b, e);
-            }
-        } else {
-            const std::size_t workers = std::min<std::size_t>(
-                static_cast<std::size_t>(threads), chunks.size());
-            std::atomic<bool> failed{false};
-            std::exception_ptr first_error;
-            std::mutex error_mutex;
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (std::size_t t = 0; t < workers; ++t) {
-                const std::size_t lo = t * chunks.size() / workers;
-                const std::size_t hi =
-                    (t + 1) * chunks.size() / workers;
-                pool.emplace_back([&, lo, hi] {
-                    for (std::size_t c = lo; c < hi; ++c) {
-                        if (failed.load(std::memory_order_relaxed)) {
-                            return;
-                        }
-                        try {
-                            execute(chunks[c].first, chunks[c].second);
-                        } catch (...) {
-                            std::lock_guard<std::mutex> lock(error_mutex);
-                            if (!first_error) {
-                                first_error = std::current_exception();
-                            }
-                            failed.store(true,
-                                         std::memory_order_relaxed);
-                            return;
-                        }
-                    }
-                });
-            }
-            for (auto &worker : pool) {
-                worker.join();
-            }
-            if (first_error) {
-                std::rethrow_exception(first_error);
-            }
-        }
-        break;
-      }
-    }
+    WorkstealOptions wopts;
+    wopts.threads = threads;
+    wopts.grain = grain;
+    wopts.chaos_seed = options_.chaos_seed;
+    const WorkstealStats sched = worksteal_run(total_units, execute, wopts);
 
-    // Phase C — deterministic reduction: totals accumulate in layer
-    // order inside finalize_scenario, independent of chunk boundaries.
+    // Deterministic reduction: totals accumulate in layer order inside
+    // finalize_scenario, independent of chunk boundaries.
     trace::Span finalize_span("runner.finalize", "runner");
     finalize_span.arg("scenarios", n);
     std::vector<ScenarioResult> results(n);
@@ -305,9 +240,8 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     for (std::size_t i = 0; i < n; ++i) {
         results[i] = finalize_scenario(scenarios[i], preps[i], seeds[i],
                                        std::move(layer_results[i]));
-        results[i].wall_seconds = prep_seconds[i] +
-            static_cast<double>(
-                eval_nanos[i].load(std::memory_order_relaxed)) * 1e-9;
+        results[i].wall_seconds = static_cast<double>(
+            eval_nanos[i].load(std::memory_order_relaxed)) * 1e-9;
         chunk_count += static_cast<int>(
             (preps[i].layers.size() + grain - 1) / grain);
     }

@@ -3,19 +3,23 @@
  * ScenarioRunner — evaluates a batch of Scenarios on work-stealing
  * worker threads and returns results in batch order.
  *
- * Work splits at two levels: across scenarios, and *inside* each
- * scenario by layer ranges. Each scenario enters the pool as one
- * coarse splittable task over its selected layers; owners execute
- * `RunnerOptions::shard_layers`-sized chunks LIFO from their own deque
- * and idle workers steal the far end of a task FIFO (halving it per
- * steal), so one BERT-class scenario fans out across the whole pool
- * instead of pinning the batch's wall clock to a single worker — and
- * nothing sits pre-chopped behind a bag of tiny convs.
+ * One flat pipeline: the unit of work is one selected layer of one
+ * scenario — synthesize the layer if its network is still pending,
+ * flip it if selected, evaluate it. Scenarios on the same
+ * (workload, seed) share one pending network, so each layer
+ * synthesizes once per batch, in whichever unit reaches it first. Each
+ * scenario enters the pool as one coarse splittable task over its
+ * selected layers; owners execute `RunnerOptions::shard_layers`-sized
+ * chunks LIFO from their own deque and idle workers steal the far end
+ * of a task FIFO (halving it per steal), so a cold BERT-class network
+ * synthesizes and evaluates across the whole pool instead of pinning
+ * the batch's wall clock to a single worker.
  *
  * Determinism contract: every scenario's result is a pure function of
  * (scenario, batch index) — the per-scenario RNG seed is derived from the
- * batch position and per-layer streams from (seed, layer index), never
- * from thread identity or chunk boundaries — so an N-thread run is
+ * batch position, per-layer streams from (seed, layer index), and
+ * synthesis streams from (network seed, layer index), never from thread
+ * identity or chunk boundaries — so an N-thread run is
  * bit-identical to a 1-thread run, under any steal order (modulo the
  * `wall_seconds` diagnostics). The adversarial-scheduler tests pin this
  * with forced steals (`RunnerOptions::chaos_seed`).
@@ -44,22 +48,14 @@ class BatchCancelled : public std::runtime_error
     BatchCancelled() : std::runtime_error("evaluation batch cancelled") {}
 };
 
-/// Which execution core drains the evaluation tasks.
-enum class SchedulerKind
-{
-    /// Chase–Lev work-stealing deques with split-on-steal (default).
-    kWorkSteal,
-    /// Legacy baseline: the task list is pre-chopped and statically
-    /// sliced over the workers, no stealing. Kept for the
-    /// ablation_sync / runner_scaling A/B — shows the batch-tail
-    /// imbalance the deque core removes. Results are bit-identical.
-    kStaticSlice,
-};
-
 /// Runner knobs.
 struct RunnerOptions
 {
-    /// Worker threads; 0 = hardware concurrency (BITWAVE_THREADS).
+    /**
+     * Worker threads; 0 = hardware concurrency (BITWAVE_THREADS).
+     * 1 runs the whole batch on the caller's thread, nested loops
+     * (synthesis, Bit-Flip) included.
+     */
     int threads = 0;
     /**
      * Intra-scenario splitting: maximum selected layers per executed
@@ -68,8 +64,6 @@ struct RunnerOptions
      * single unsplittable task.
      */
     int shard_layers = 8;
-    /// Execution core; see SchedulerKind.
-    SchedulerKind scheduler = SchedulerKind::kWorkSteal;
     /**
      * Adversarial test scheduler seed (see WorkstealOptions): non-zero
      * forces seeded steal-first scheduling and reverses the initial
@@ -78,8 +72,8 @@ struct RunnerOptions
      */
     std::uint64_t chaos_seed = 0;
     /**
-     * Cooperative batch-abort flag, polled at chunk boundaries (and
-     * between scenario preparations). When the pointed-to flag becomes
+     * Cooperative batch-abort flag, polled at batch start and at chunk
+     * boundaries. When the pointed-to flag becomes
      * true, the batch stops issuing work and run() throws
      * BatchCancelled. The flag must outlive the run() call; nullptr
      * (default) disables cancellation. The evaluation service sets this
@@ -95,9 +89,10 @@ struct RunnerReport
     int shards = 0;            ///< Evaluation chunks (grain-sized).
     std::int64_t chunks = 0;   ///< Executed body chunks (scheduler view:
                                ///< includes split-on-steal fragments).
-    std::int64_t steals = 0;   ///< Cross-worker steals (kWorkSteal).
+    std::int64_t steals = 0;   ///< Cross-worker steals.
     double wall_seconds = 0.0;          ///< End-to-end batch wall time.
-    double scenario_seconds_sum = 0.0;  ///< Sum of per-scenario costs.
+    double scenario_seconds_sum = 0.0;  ///< Sum of per-scenario costs
+                                        ///< (synthesis + evaluation).
 
     /// Parallel efficiency proxy: total scenario work / batch wall time.
     double speedup() const

@@ -12,9 +12,14 @@
  */
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "nn/synthesis.hpp"
 #include "nn/workload.hpp"
 
 namespace bitwave {
@@ -38,7 +43,88 @@ inline constexpr WorkloadId kAllWorkloads[] = {
 /// Display name ("ResNet18", ...).
 const char *workload_name(WorkloadId id);
 
-/// Build a workload with freshly synthesized weights.
+/// A network as its builder declares it, before any weight is drawn:
+/// the skeleton (descriptors and metadata, empty weight tensors) plus
+/// the weight profile of each layer.
+struct WorkloadBlueprint
+{
+    Workload skeleton;
+    std::vector<WeightProfile> profiles;  ///< One per skeleton layer.
+};
+
+/**
+ * A network whose layer weights synthesize on demand, once each.
+ *
+ * It holds a blueprint and one claim state per layer. Layer i draws from
+ * its own seed stream (the hash of the network seed and i), so layers
+ * materialize in any order, on any thread, into the bytes a serial
+ * build produces. The thread that lands the last layer reduces the
+ * layer hashes into `content_hash` and, for a shared network with a
+ * disk cache, writes the cache entry.
+ *
+ * Thread-safe. workload() may be read at any time for descriptors and
+ * metadata; layer i's `weights` and `weights_hash` only after
+ * materialize(i) has returned, and `content_hash` only after complete()
+ * has.
+ */
+class PendingWorkload
+{
+  public:
+    /// Network @p id, to be synthesized from @p seed.
+    PendingWorkload(WorkloadId id, std::uint64_t seed);
+    /// @p blueprint, to be synthesized from @p seed.
+    PendingWorkload(WorkloadBlueprint blueprint, std::uint64_t seed);
+    /// A network whose weights are all present (a disk-cache load).
+    explicit PendingWorkload(Workload complete);
+
+    PendingWorkload(const PendingWorkload &) = delete;
+    PendingWorkload &operator=(const PendingWorkload &) = delete;
+
+    /// The network; see the class comment for what is readable when.
+    const Workload &workload() const { return workload_; }
+
+    /// Synthesize layer @p i unless it exists, waiting if another thread
+    /// is building it. Returns true when this call synthesized it.
+    bool materialize(std::size_t i);
+
+    /// Synthesize layer @p i if no thread has claimed it yet; never
+    /// waits. Returns true when this call synthesized it.
+    bool try_materialize(std::size_t i);
+
+    /// Materialize every missing layer in a parallel_for and return the
+    /// complete network.
+    const Workload &complete();
+
+    /// complete(), then move the network out; the object is spent.
+    Workload release();
+
+    /// Save the network to @p path once its last layer lands. Call
+    /// before the object is shared.
+    void save_when_complete(std::string path);
+
+  private:
+    /// Per-layer state; kBuilding -> kPending again if synthesis throws.
+    enum State : std::uint32_t { kPending, kBuilding, kReady };
+    /// What one claim on a layer found.
+    enum class Claim { kBuilt, kReady, kBusy };
+
+    /// Build layer @p i if it is pending; never waits.
+    Claim claim(std::size_t i);
+    /// content_hash and the optional save; runs once, on the thread
+    /// that synthesized the last layer, before that layer turns ready.
+    void finish();
+
+    Workload workload_;
+    std::uint64_t seed_ = 0;
+    std::vector<WeightProfile> profiles_;
+    std::unique_ptr<std::atomic<std::uint32_t>[]> state_;
+    std::atomic<std::size_t> missing_{0};
+    std::atomic<bool> complete_{false};
+    std::string save_path_;
+};
+
+/// Build a workload with freshly synthesized weights: every layer
+/// materialized, then `content_hash` reduced over the layer hashes.
 Workload build_workload(WorkloadId id, std::uint64_t seed = 0x5eed);
 
 /// Build a workload's structure only — descriptors and metadata, empty
@@ -47,12 +133,18 @@ Workload build_workload(WorkloadId id, std::uint64_t seed = 0x5eed);
 Workload build_workload_skeleton(WorkloadId id);
 
 /**
- * Shared synthesized instance of one workload (seed 0x5eed). Each of
- * the four networks has one slot, filled once on first touch —
- * synthesized, or loaded from the optional on-disk synthesis cache —
- * and resident for the rest of the process. Every call for the same id
- * returns the same instance.
+ * The shared seed-0x5eed network @p id, layers possibly still pending.
+ * Each of the four networks has one slot, opened once on first touch —
+ * loaded whole from the optional on-disk synthesis cache, or left to
+ * synthesize layer by layer — and resident for the rest of the process.
+ * Every call for the same id returns the same instance; the first call
+ * counts as a `cache.workloads` miss, every later one as a hit.
  */
+std::shared_ptr<PendingWorkload> shared_network(WorkloadId id);
+
+/// The shared network @p id, complete: shared_network(id) with every
+/// layer materialized. Every call for the same id returns the same
+/// instance.
 std::shared_ptr<const Workload> shared_workload(WorkloadId id);
 
 /// Reference convenience over shared_workload(); the instance lives for

@@ -349,6 +349,38 @@ TEST(Worksteal, NestedLoopsRunInline)
     }
 }
 
+TEST(Worksteal, SingleThreadKeepsNestedLoopsOnTheCaller)
+{
+    // threads = 1 is serial all the way down: a 4-wide parallel_for
+    // nested in the body must not fan out to other threads.
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> calls{0};
+    worksteal_for(
+        2,
+        [&](std::size_t) {
+            parallel_for(
+                256,
+                [&](std::size_t) {
+                    EXPECT_EQ(std::this_thread::get_id(), caller);
+                    calls.fetch_add(1, std::memory_order_relaxed);
+                    // Slow enough that a real pool's workers would
+                    // start and take items.
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(20));
+                },
+                /*threads=*/4);
+        },
+        /*threads=*/1);
+    EXPECT_EQ(calls.load(), 2 * 256);
+    // The frame mark ends with the loop: a later top-level loop may
+    // use every worker again.
+    std::atomic<int> later{0};
+    const auto stats = worksteal_for(
+        64, [&](std::size_t) { later.fetch_add(1); }, /*threads=*/2);
+    EXPECT_EQ(later.load(), 64);
+    EXPECT_EQ(stats.threads_used, 2);
+}
+
 // -------------------------------------------------------------- env ---
 
 TEST(Env, PositiveIntParsesStrictlyAndFallsBack)

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "bitflip/bitflip.hpp"
+#include "common/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "energy/pricing.hpp"
 #include "eval/runner.hpp"
@@ -271,11 +272,10 @@ TEST(ScenarioRunner, IntraScenarioSplittingIsBitIdentical)
 TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
 {
     // The work-stealing contract: scheduling — thread count, chunk
-    // grain, steal order, initial task order, even the scheduler
-    // implementation — must never show up in results. Run the same
-    // batch under a seeded adversarial scheduler (forced steals in
-    // seeded victim order, reversed initial task assignment), several
-    // chaos seeds, both schedulers, and 1 vs N threads, and require
+    // grain, steal order, initial task order — must never show up in
+    // results. Run the same batch under a seeded adversarial scheduler
+    // (forced steals in seeded victim order, reversed initial task
+    // assignment), several chaos seeds, and 1 vs N threads, and require
     // bit-identical ScenarioResults throughout.
     const auto scenarios = determinism_batch();
 
@@ -297,10 +297,6 @@ TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
         coarse_chaos.shard_layers = 2;
         coarse_chaos.chaos_seed = 7;
         variants.push_back(coarse_chaos);
-        eval::RunnerOptions legacy;
-        legacy.threads = 4;
-        legacy.scheduler = eval::SchedulerKind::kStaticSlice;
-        variants.push_back(legacy);
     }
     for (std::size_t v = 0; v < variants.size(); ++v) {
         const auto got = eval::ScenarioRunner(variants[v]).run(scenarios);
@@ -321,9 +317,50 @@ TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
             }
         }
     }
+
+    // Private-seed networks synthesize inside the layer units: two
+    // scenarios share one pending CNN-LSTM, one of them Bit-Flipping its
+    // heavy layers, and every steal order must reproduce the direct
+    // per-scenario evaluation bit for bit.
+    eval::Scenario model;
+    model.workload = WorkloadId::kCnnLstm;
+    model.workload_seed = 0xC0FFEE;
+    model.accel = make_bitwave(BitWaveVariant::kDfSmBf);
+    eval::Scenario flipped = model;
+    flipped.bitflip.mode = eval::BitflipSpec::Mode::kHeavyLayers;
+    flipped.bitflip.weight_share = 0.8;
+    flipped.bitflip.group_size = 16;
+    flipped.bitflip.zero_columns = 5;
+    const std::vector<eval::Scenario> fresh = {model, flipped};
+    std::vector<eval::ScenarioResult> direct;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        direct.push_back(eval::evaluate_scenario(
+            fresh[i], eval::scenario_rng_seed(fresh[i], i)));
+    }
+    for (const std::uint64_t seed : {1ull, 99ull, 0xD15EA5Eull}) {
+        eval::RunnerOptions chaotic;
+        chaotic.threads = 4;
+        chaotic.shard_layers = 1;
+        chaotic.chaos_seed = seed;
+        const auto got = eval::ScenarioRunner(chaotic).run(fresh);
+        ASSERT_EQ(got.size(), direct.size());
+        for (std::size_t i = 0; i < direct.size(); ++i) {
+            EXPECT_EQ(got[i].total_cycles, direct[i].total_cycles)
+                << "chaos " << seed << " " << direct[i].name;
+            EXPECT_EQ(got[i].energy.total_pj, direct[i].energy.total_pj)
+                << "chaos " << seed << " " << direct[i].name;
+            ASSERT_EQ(got[i].layers.size(), direct[i].layers.size());
+            for (std::size_t l = 0; l < direct[i].layers.size(); ++l) {
+                EXPECT_EQ(got[i].layers[l].total_cycles,
+                          direct[i].layers[l].total_cycles);
+                EXPECT_EQ(got[i].layers[l].energy.total_pj,
+                          direct[i].layers[l].energy.total_pj);
+            }
+        }
+    }
 }
 
-TEST(ScenarioRunner, SchedulersReportConsistentDiagnostics)
+TEST(ScenarioRunner, ReportsConsistentDiagnostics)
 {
     const auto scenarios = determinism_batch();
     eval::RunnerOptions steal;
@@ -336,12 +373,45 @@ TEST(ScenarioRunner, SchedulersReportConsistentDiagnostics)
     // 7 scenarios x 3 layers at grain 1.
     EXPECT_EQ(report.shards, 21);
     EXPECT_GE(report.steals, 1) << "adversarial run must actually steal";
+}
 
-    eval::RunnerOptions legacy = steal;
-    legacy.chaos_seed = 0;
-    legacy.scheduler = eval::SchedulerKind::kStaticSlice;
-    eval::ScenarioRunner(legacy).run(scenarios, &report);
-    EXPECT_EQ(report.steals, 0) << "the static pool never steals";
+std::uint64_t
+layers_synthesized()
+{
+    return metrics::counter_value("nn.layers_synthesized");
+}
+
+TEST(ScenarioRunner, ScenariosOnOneNetworkSynthesizeItOnce)
+{
+    // A model and a stats scenario on the same private (ResNet18, seed)
+    // share one pending network: 21 layers synthesize, not 42.
+    eval::Scenario model;
+    model.workload = WorkloadId::kResNet18;
+    model.workload_seed = 0xF1E5;
+    model.accel = make_bitwave(BitWaveVariant::kDfSm);
+    eval::Scenario stats = model;
+    stats.engine = eval::EngineKind::kStats;
+    const std::uint64_t before = layers_synthesized();
+    const auto results = eval::ScenarioRunner().run({model, stats});
+    EXPECT_EQ(layers_synthesized() - before, 21u);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].layers.size(), 21u);
+    EXPECT_EQ(results[1].layers.size(), 21u);
+}
+
+TEST(ScenarioRunner, LayerFilterSynthesizesOnlySelectedLayers)
+{
+    eval::Scenario s;
+    s.engine = eval::EngineKind::kCycleSim;
+    s.workload = WorkloadId::kCnnLstm;
+    s.workload_seed = 0x1157;
+    s.layer_filter = {"LSTM.0"};
+    const std::uint64_t before = layers_synthesized();
+    const auto results = eval::ScenarioRunner().run({s});
+    EXPECT_EQ(layers_synthesized() - before, 1u);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_EQ(results[0].layers.size(), 1u);
+    EXPECT_EQ(results[0].layers[0].layer_name, "LSTM.0");
 }
 
 TEST(ScenarioRunner, ShardedEvaluationMatchesEvaluateScenario)

@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -186,6 +187,49 @@ TEST(Workloads, BuildersAreDeterministic)
     for (const auto &layer : a.layers) {
         EXPECT_NE(layer.weights_hash, 0u);
         EXPECT_EQ(layer.weights_hash, layer.compute_weights_hash());
+    }
+}
+
+TEST(Workloads, PendingLayersMaterializeInAnyOrderBitIdentically)
+{
+    // Four threads race through the layers last to first; every layer
+    // still synthesizes once, from its own seed stream, into the bytes
+    // build_workload produces, and the layer hashes reduce to the same
+    // content hash.
+    for (const WorkloadId id : {WorkloadId::kResNet18,
+                                WorkloadId::kMobileNetV2,
+                                WorkloadId::kCnnLstm}) {
+        for (const std::uint64_t seed : {0x5eedULL, 0xB17ULL}) {
+            const Workload built = build_workload(id, seed);
+            PendingWorkload pending(id, seed);
+            const std::size_t n = pending.workload().layers.size();
+            ASSERT_EQ(n, built.layers.size());
+            std::atomic<std::size_t> synthesized{0};
+            std::vector<std::thread> threads;
+            for (int t = 0; t < 4; ++t) {
+                threads.emplace_back([&] {
+                    for (std::size_t i = n; i-- > 0;) {
+                        if (pending.materialize(i)) {
+                            synthesized.fetch_add(1);
+                        }
+                    }
+                });
+            }
+            for (auto &t : threads) {
+                t.join();
+            }
+            EXPECT_EQ(synthesized.load(), n) << workload_name(id);
+            const Workload &got = pending.complete();
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(got.layers[i].weights, built.layers[i].weights)
+                    << workload_name(id) << " layer " << i;
+                EXPECT_EQ(got.layers[i].weights_hash,
+                          built.layers[i].weights_hash);
+            }
+            EXPECT_NE(got.content_hash, 0u);
+            EXPECT_EQ(got.content_hash, built.content_hash)
+                << workload_name(id) << " seed " << seed;
+        }
     }
 }
 
