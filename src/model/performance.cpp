@@ -7,7 +7,6 @@
 
 #include "common/bits.hpp"
 #include "common/logging.hpp"
-#include "compress/bcs.hpp"
 #include "compress/zre.hpp"
 #include "search/cost.hpp"
 #include "sparsity/stats.hpp"
@@ -41,9 +40,30 @@ AcceleratorModel::AcceleratorModel(AcceleratorConfig config,
                                    const DramModel &dram)
     : config_(std::move(config)), tech_(tech), dram_(dram)
 {
+    const char *name = config_.name.c_str();
     if (config_.dataflows.empty()) {
-        fatal("AcceleratorModel: %s has no dataflows",
-              config_.name.c_str());
+        fatal("AcceleratorModel: %s has no dataflows", name);
+    }
+    // Bit-column layers price through search::mapping_cost, which knows
+    // no value/bit-serial sparsity and none of the baseline-only knobs;
+    // reject configs it would misprice instead of ignoring the knobs.
+    if (config_.style != ComputeStyle::kBitColumnSerial) {
+        if (config_.sparsity == SparsityMode::kWeightBitColumn) {
+            fatal("AcceleratorModel: %s: bit-column sparsity needs the "
+                  "bit-column-serial style", name);
+        }
+        return;
+    }
+    if (config_.sparsity != SparsityMode::kNone &&
+        config_.sparsity != SparsityMode::kWeightBitColumn) {
+        fatal("AcceleratorModel: %s: bit-column-serial machines skip "
+              "zero bit columns or nothing", name);
+    }
+    if (config_.matmul_penalty != 1.0 || config_.planar_crossbar ||
+        config_.accumulator_banks || config_.compress_acts ||
+        config_.e_lane_overhead_pj != 0.0) {
+        fatal("AcceleratorModel: %s: baseline-only knob set on a "
+              "bit-column-serial machine", name);
     }
 }
 
@@ -62,57 +82,58 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     LayerResult r;
     r.layer_name = desc.name;
 
-    // Content identity of the evaluated tensor for the shared
-    // content-hash caches (bit planes, cycle stats, BCS sizes).
-    const std::uint64_t content_hash =
-        weights == nullptr ? layer.weights_hash : weights_hash;
-
-    // Shared packed bit planes for the bit-column kernels, fetched (or
-    // packed once) from the content-hash cache so scenario sweeps over
-    // the same weights never re-pack. Lazy: baseline machines that never
-    // touch bit columns never pay for packing.
-    std::shared_ptr<const BitPlanes> planes;
-    const auto weight_planes = [&]() -> const BitPlanes & {
-        if (!planes) {
-            planes = shared_bitplanes(w, config_.weight_repr,
-                                      content_hash);
-        }
-        return *planes;
-    };
-
-    // ---- STEP1: dataflow selection & dense activity ----------------------
-    const SpatialUnrolling *selected = nullptr;
-    if (config_.mapping_policy == search::MappingPolicy::kCostAware &&
-        config_.style == ComputeStyle::kBitColumnSerial) {
-        // ZigZag-style cost-aware selection: rank candidates by the
-        // mapping cost model's Eq. (5) latency instead of bare spatial
-        // utilization (fetch-bound layers pick leaner streams).
+    if (config_.style == ComputeStyle::kBitColumnSerial) {
+        // Bit-column layers: Eq. (5) latency and Eq. (4) energy of the
+        // selected SU come from the mapping cost model, the same
+        // function that ranks the candidates.
         search::MappingCostConfig mcfg;
         mcfg.repr = config_.weight_repr;
         mcfg.memory = config_.memory;
         mcfg.skip_zero_columns =
             config_.sparsity == SparsityMode::kWeightBitColumn;
         mcfg.compress_weights = config_.compress_weights;
+        mcfg.input_from_dram = ctx.first_layer;
+        mcfg.output_to_dram = ctx.last_layer;
         mcfg.layer_sequential_dram = config_.layer_sequential_dram;
-        const BitPlanes *pp =
-            mcfg.skip_zero_columns || mcfg.compress_weights
-                ? &weight_planes() : nullptr;
-        selected = &search::select_su_cost_aware(
-            desc, config_.dataflows, pp, content_hash, mcfg, tech_,
-            dram_);
-    } else {
-        selected = &select_su(desc, config_.dataflows);
+        // Shared packed bit planes, fetched (or packed once) from the
+        // content-hash cache so sweeps over the same weights never
+        // re-pack; dense pricing needs none.
+        const std::uint64_t content_hash =
+            weights == nullptr ? layer.weights_hash : weights_hash;
+        std::shared_ptr<const BitPlanes> planes;
+        if (mcfg.skip_zero_columns || mcfg.compress_weights) {
+            planes = shared_bitplanes(w, config_.weight_repr, content_hash);
+        }
+        const SpatialUnrolling &su =
+            config_.mapping_policy == search::MappingPolicy::kCostAware
+            ? search::select_su_cost_aware(desc, config_.dataflows,
+                                           planes.get(), content_hash,
+                                           mcfg, tech_, dram_)
+            : select_su(desc, config_.dataflows);
+        const search::MappingCost c = search::mapping_cost(
+            desc, su, planes.get(), content_hash, mcfg, tech_, dram_);
+        r.su_name = su.name;
+        r.utilization = c.utilization;
+        r.effective_macs = static_cast<double>(desc.macs());
+        r.compute_cycles = c.compute_cycles;
+        r.dram_cycles = c.dram_cycles;
+        r.total_cycles = c.total_cycles;
+        r.energy = c.energy;
+        r.weight_fetch_ratio = c.weight_fetch_ratio;
+        r.cycles_per_group = c.cycles_per_group;
+        return r;
     }
-    const SpatialUnrolling &su = *selected;
+
+    // ---- STEP1: dataflow selection & dense activity ----------------------
+    const SpatialUnrolling &su = select_su(desc, config_.dataflows);
     r.su_name = su.name;
     r.utilization = spatial_utilization(desc, su);
     const double macs = static_cast<double>(desc.macs());
     const std::int64_t iterations = temporal_iterations(desc, su);
 
     // ---- STEP2: sparsity statistics --------------------------------------
-    // Lazy: only the value/bit-sparsity machines read them; the
-    // bit-column machines derive everything from the packed planes, so
-    // hardware sweeps never pay the element-wise scan.
+    // Lazy: only the value/bit-sparsity machines read them, so dense
+    // baselines never pay the element-wise scan.
     std::optional<SparsityStats> wstats_memo;
     const auto wstats = [&]() -> const SparsityStats & {
         if (!wstats_memo) {
@@ -128,15 +149,7 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     double cycles_per_pass = 1.0;     // bit-parallel default
     double mac_energy_scale = 1.0;    // fraction of bit work actually done
     double e_mac_pj = tech_.e_mac_bit_parallel_pj;
-    // Mean streamed columns per weight group (BCS machines only; 0
-    // selects the port-based weight-traffic accounting).
-    double mean_columns_per_group = 0.0;
-
-    switch (config_.style) {
-      case ComputeStyle::kBitParallel:
-        cycles_per_pass = 1.0;
-        break;
-      case ComputeStyle::kBitSerial:
+    if (config_.style == ComputeStyle::kBitSerial) {
         e_mac_pj = tech_.e_mac_bit_serial_pj;
         if (config_.sparsity == SparsityMode::kWeightBit) {
             cycles_per_pass = bit_serial_sync_cycles(
@@ -157,27 +170,6 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
         } else {
             cycles_per_pass = 8.0;  // Stripes: all bits, every time.
         }
-        break;
-      case ComputeStyle::kBitColumnSerial:
-        e_mac_pj = tech_.e_mac_bit_column_pj;
-        if (config_.sparsity == SparsityMode::kWeightBitColumn) {
-            // Compressed columns stream directly into the array; the
-            // fetcher's double buffering decouples group boundaries, so
-            // throughput follows the MEAN occupancy (the sync-limited
-            // variant is exercised by the ablation bench).
-            const auto cc = search::cached_cycle_stats(
-                weight_planes(), desc, static_cast<int>(su.group_size()),
-                su.factor(Dim::kK), content_hash);
-            cycles_per_pass = cc->mean_ceil_cycles(su.bit_columns);
-            mac_energy_scale = cc->mean_cycles_per_group / 8.0;
-            mean_columns_per_group = cc->mean_cycles_per_group;
-        } else {
-            // Dense mode: all 8 columns, bit_columns per cycle.
-            cycles_per_pass =
-                8.0 / static_cast<double>(su.bit_columns);
-            mean_columns_per_group = 8.0;
-        }
-        break;
     }
 
     double compute_cycles =
@@ -230,24 +222,12 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
 
     // ---- Compression factors ---------------------------------------------
     CompressionFactors cf;
-    if (config_.compress_weights) {
-        if (config_.sparsity == SparsityMode::kWeightBitColumn) {
-            const auto compressed = search::cached_bcs_size(
-                weight_planes(), static_cast<int>(su.group_size()),
-                content_hash);
-            cf.weight_fetch_ratio = 1.0 / compressed->compression_ratio();
-            // BCS fetch savings come from skipped column cycles; the
-            // remaining on-chip overhead is the 8b index per group.
-            cf.weight_sram_overhead = 1.0 +
-                static_cast<double>(kWordBits) /
-                    (cycles_per_pass *
-                     static_cast<double>(su.group_size()));
-        } else if (config_.sparsity == SparsityMode::kValue) {
-            const auto compressed = zre_compress(w);
-            cf.weight_fetch_ratio = 1.0 / compressed.compression_ratio();
-            // 12-bit ZRE entries for the (1 - Sw) surviving weights.
-            cf.weight_sram_overhead = (1.0 - sw()) * 12.0 / 8.0;
-        }
+    if (config_.compress_weights &&
+        config_.sparsity == SparsityMode::kValue) {
+        const auto compressed = zre_compress(w);
+        cf.weight_fetch_ratio = 1.0 / compressed.compression_ratio();
+        // 12-bit ZRE entries for the (1 - Sw) surviving weights.
+        cf.weight_sram_overhead = (1.0 - sw()) * 12.0 / 8.0;
     }
     if (config_.compress_acts) {
         // Analytic ZRE on activations: (1 - Sa) entries of 12 bits each,
@@ -263,51 +243,17 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     ExecutionProfile exec;
     exec.utilization = r.utilization;
     exec.compute_cycles = r.compute_cycles;
-    // Active fetch rate is bounded by the physical weight port (Table I:
-    // every BitWave SU keeps W BW <= 1024 bits/cycle).
+    // Active fetch rate is bounded by the physical weight port.
     exec.weight_port_active_bits = std::min(
         static_cast<double>(su.weight_bandwidth_bits()) *
             static_cast<double>(su.bit_columns),
         static_cast<double>(config_.memory.weight_port_bits));
-    if (mean_columns_per_group > 0.0) {
-        // Bit-column machines stream exactly the (compressed) column
-        // payload plus the 8-bit ZCIP index per weight group, ONCE per
-        // layer sweep — the fetcher's double buffer holds the active
-        // tile across spatial revisits. The identical accounting runs
-        // in BitWaveNpu::run_layer, which is what keeps sim-vs-model
-        // agreement on fetch-bound layers.
-        std::int64_t rows = 0, row_len = 1;
-        switch (layer.desc.kind) {
-          case LayerKind::kConv:
-          case LayerKind::kPointwiseConv:
-            rows = layer.desc.k * layer.desc.fy * layer.desc.fx;
-            row_len = layer.desc.c;
-            break;
-          case LayerKind::kDepthwiseConv:
-            rows = layer.desc.k;
-            row_len = layer.desc.fy * layer.desc.fx;
-            break;
-          case LayerKind::kLinear:
-          case LayerKind::kLstm:
-            rows = layer.desc.k;
-            row_len = layer.desc.c;
-            break;
-        }
-        const double groups = static_cast<double>(
-            rows * ceil_div(row_len, su.group_size()));
-        exec.weight_stream_bits = groups *
-            (mean_columns_per_group *
-                 static_cast<double>(su.group_size()) +
-             kWordBits);
-    }
     exec.weight_stationary = config_.style == ComputeStyle::kBitParallel;
     exec.c_tiles = ceil_div(desc.c, su.factor(Dim::kC));
     exec.psum_in_accumulators = config_.accumulator_banks;
-    // BitWave keeps intermediate feature maps on chip (depth-first halo
-    // tiling); only the network input and output cross DRAM. The
-    // baselines' layer-sequential schedules instead spill the
-    // non-resident excess of every map that overflows the activation
-    // SRAM. Each layer prices its own view of the tensor: the consumer
+    // Only the network input and output cross DRAM, unless a
+    // layer-sequential schedule spills the non-resident excess of every
+    // map that overflows the activation SRAM. Each layer prices its own view of the tensor: the consumer
     // side includes the conv halo/padding extent, so its read bits can
     // slightly exceed the producer's written bits — deliberate (the
     // halo is re-fetched traffic), and part of the Fig. 15-calibrated
@@ -348,7 +294,7 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     // Static/clock-tree energy accrues with runtime: slow mappings pay.
     act.cycles = r.total_cycles;
 
-    // ---- Baseline-machine activity (all zero for BitWave configs) -------
+    // ---- Baseline-machine activity ---------------------------------------
     if (config_.accumulator_banks) {
         // Every Cartesian product performs a 32b read-modify-write in
         // the crossbar-fed accumulator banks (conflict replays are

@@ -94,8 +94,11 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     const std::int64_t iterations = temporal_iterations(desc, su);
     const int group = static_cast<int>(su.group_size());
 
-    // Bit-column occupancy — the term-for-term mirror of model_layer's
-    // ComputeStyle::kBitColumnSerial branch.
+    // Bit-column occupancy: compressed columns stream directly into the
+    // array and the fetcher's double buffering decouples group
+    // boundaries, so throughput follows the MEAN occupancy (the
+    // sync-limited variant is exercised by the ablation bench). Dense
+    // mode streams all 8 columns, bit_columns per cycle.
     double cycles_per_pass = 0.0;
     double mac_energy_scale = 1.0;
     double mean_columns_per_group = 8.0;
@@ -117,6 +120,8 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
         const auto compressed =
             cached_bcs_size(*planes, group, content_hash);
         cf.weight_fetch_ratio = 1.0 / compressed->compression_ratio();
+        // BCS fetch savings come from skipped column cycles; the
+        // remaining on-chip overhead is the 8b index per group.
         cf.weight_sram_overhead = 1.0 +
             static_cast<double>(kWordBits) /
                 (cycles_per_pass * static_cast<double>(group));
@@ -132,7 +137,8 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
         static_cast<double>(cfg.memory.weight_port_bits));
     // Compressed stream (payload columns + ZCIP index) crosses the
     // weight port once per layer sweep — the fetcher's double buffer
-    // holds the active tile across spatial revisits.
+    // holds the active tile across spatial revisits. BitWaveNpu::run_layer
+    // counts the same stream group by group, independently.
     const WeightRowGeometry geom = weight_row_geometry(desc);
     const double groups = static_cast<double>(
         geom.rows * ceil_div(geom.row_len, su.group_size()));
@@ -142,9 +148,8 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     exec.weight_stationary = false;
     exec.c_tiles = ceil_div(desc.c, su.factor(Dim::kC));
     exec.psum_in_accumulators = false;
-    // Same residency rule as model_layer: layer-sequential machines
-    // spill the non-resident excess of maps that overflow the
-    // activation SRAM (shared activation_spill_fraction definition).
+    // Layer-sequential machines spill the non-resident excess of maps
+    // that overflow the activation SRAM.
     const auto spill_fraction = [&](std::int64_t elements) {
         return cfg.layer_sequential_dram
             ? activation_spill_fraction(elements, cfg.memory) : 0.0;
@@ -168,9 +173,6 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     lat.output_write_cycles =
         static_cast<double>(desc.output_count()) * kWordBits /
         static_cast<double>(cfg.memory.act_port_bits);
-    r.weight_fetch_cycles = lat.weight_fetch_cycles;
-    r.act_fetch_cycles = lat.act_fetch_cycles;
-    r.output_write_cycles = lat.output_write_cycles;
     r.total_cycles = compose_latency(lat);
 
     EnergyActivity act;

@@ -4,16 +4,17 @@
  * per-layer SU choice (ROADMAP follow-up of the weight-port stream
  * accounting).
  *
- * `select_su` ranks candidates by spatial utilization alone, which is
- * blind to two effects the analytical model already prices: the
- * compressed weight-stream occupancy of the SRAM weight port (fetch-bound
- * layers), and the bit-column occupancy implied by the SU's BCS group
- * size (smaller groups expose more zero columns). The mapping cost model
- * here scores every legal SpatialUnrolling candidate with the model's
- * actual Eq. (5) latency (compute + weight-port stream + DRAM) and
- * Eq. (4) energy, mirroring AcceleratorModel::model_layer's
- * bit-column-serial accounting term for term; `select_su_cost_aware`
- * then picks the candidate with the lowest modeled latency.
+ * `mapping_cost` is the analytical model's one Eq. (5) latency
+ * (compute + weight-port stream + DRAM) and Eq. (4) energy pricing of a
+ * bit-column-serial layer under one SpatialUnrolling:
+ * AcceleratorModel::model_layer prices every bit-column layer by calling
+ * it on the selected SU. `select_su` ranks candidates by spatial
+ * utilization alone, which is blind to two effects this price carries:
+ * the compressed weight-stream occupancy of the SRAM weight port
+ * (fetch-bound layers), and the bit-column occupancy implied by the SU's
+ * BCS group size (smaller groups expose more zero columns).
+ * `select_su_cost_aware` instead prices every legal candidate and picks
+ * the one with the lowest modeled latency.
  *
  * Both the analytical model and the cycle-level simulator consume the
  * selection behind a `MappingPolicy` knob whose default, `kUtilization`,
@@ -51,8 +52,7 @@ enum class MappingPolicy {
 const char *mapping_policy_name(MappingPolicy policy);
 
 /// Machine description the cost model prices a candidate against — the
-/// bit-column-serial subset of AcceleratorConfig / NpuConfig that both
-/// engines agree on.
+/// bit-column-serial subset of AcceleratorConfig / NpuConfig.
 struct MappingCostConfig
 {
     Representation repr = Representation::kSignMagnitude;
@@ -63,18 +63,14 @@ struct MappingCostConfig
     /// BCS-compressed weights cross DRAM (AcceleratorConfig's
     /// compress_weights).
     bool compress_weights = true;
-    /// LayerContext flags: activation traffic crossing DRAM. Selection
-    /// uses the interior-layer default so the chosen SU is a property of
-    /// (layer, machine), not of network position.
+    /// LayerContext flags: activation traffic crossing DRAM (model_layer
+    /// sets them from the layer's position). That traffic does not depend
+    /// on the SU, so the flags shift every candidate's latency alike.
     bool input_from_dram = false;
     bool output_to_dram = false;
-    /// Mirror of AcceleratorConfig::layer_sequential_dram: feature maps
-    /// exceeding the activation SRAM spill to DRAM. Off for every
-    /// BitWave configuration (halo tiling); mirrored so a hypothetical
-    /// bit-column machine with a layer-sequential schedule still prices
-    /// term-for-term against model_layer. (The other energy-side knobs —
-    /// accumulator banks, planar crossbar, lane overhead — cannot occur
-    /// on a bit-column-serial machine, so they have no mirror here.)
+    /// AcceleratorConfig::layer_sequential_dram: interior feature maps
+    /// exceeding the activation SRAM spill their non-resident excess to
+    /// DRAM. Off for every BitWave configuration (halo tiling).
     bool layer_sequential_dram = false;
 };
 
@@ -84,10 +80,7 @@ struct MappingCost
     double utilization = 0.0;
     double cycles_per_group = 0.0;  ///< Effective bit cycles per pass.
     double compute_cycles = 0.0;
-    double weight_fetch_cycles = 0.0;  ///< Weight-port occupancy.
-    double act_fetch_cycles = 0.0;
     double dram_cycles = 0.0;
-    double output_write_cycles = 0.0;
     double total_cycles = 0.0;  ///< Eq. (5) composition.
     double weight_fetch_ratio = 1.0;  ///< Compressed/raw DRAM weights.
     EnergyBreakdown energy;     ///< Eq. (4), shared pricing core.
@@ -112,7 +105,9 @@ cached_bcs_size(const BitPlanes &planes, int group_size,
                 std::uint64_t content_hash);
 
 /**
- * Price one (layer, SU) candidate on a bit-column-serial machine.
+ * Price one (layer, SU) candidate on a bit-column-serial machine — the
+ * analytical model's pricing of bit-column layers: model_layer returns
+ * this function's result for the SU it selects.
  *
  * @param desc         Layer descriptor, already normalized for mapping
  *                     (normalized_for_mapping) — the same view
@@ -124,9 +119,6 @@ cached_bcs_size(const BitPlanes &planes, int group_size,
  *                     both false (dense pricing needs no weights).
  * @param content_hash Content identity of the weights for the memo
  *                     caches (0 = uncached).
- *
- * Mirrors AcceleratorModel::model_layer's kBitColumnSerial accounting
- * exactly; tests/test_search.cpp pins the agreement per probe layer.
  */
 MappingCost mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
                          const BitPlanes *planes,

@@ -65,6 +65,54 @@ TEST(Config, VariantsDifferOnlyAsDocumented)
     EXPECT_EQ(df.dataflows.size(), 7u);
 }
 
+/// Death-test body: construct a model of @p cfg.
+void
+construct_model(const AcceleratorConfig &cfg)
+{
+    const AcceleratorModel model(cfg);
+    (void)model;
+}
+
+TEST(ConfigDeathTest, RejectsKnobsTheBitColumnPathWouldMisprice)
+{
+    // Bit-column layers price through search::mapping_cost, which honours
+    // none of these; the constructor refuses them instead of ignoring.
+    const auto rejected = [](const AcceleratorConfig &cfg,
+                             const char *knob) {
+        EXPECT_EXIT(construct_model(cfg), ::testing::ExitedWithCode(1),
+                    "AcceleratorModel")
+            << knob;
+    };
+    const auto bitwave = make_bitwave(BitWaveVariant::kDfSm);
+    for (const SparsityMode mode :
+         {SparsityMode::kValue, SparsityMode::kWeightBit,
+          SparsityMode::kWeightBitInterleaved}) {
+        auto cfg = bitwave;
+        cfg.sparsity = mode;
+        rejected(cfg, "sparsity");
+    }
+    auto cfg = bitwave;
+    cfg.matmul_penalty = 1.5;
+    rejected(cfg, "matmul_penalty");
+    cfg = bitwave;
+    cfg.planar_crossbar = true;
+    rejected(cfg, "planar_crossbar");
+    cfg = bitwave;
+    cfg.accumulator_banks = true;
+    rejected(cfg, "accumulator_banks");
+    cfg = bitwave;
+    cfg.compress_acts = true;
+    rejected(cfg, "compress_acts");
+    cfg = bitwave;
+    cfg.e_lane_overhead_pj = 0.01;
+    rejected(cfg, "e_lane_overhead_pj");
+    // Bit-column sparsity only exists on the bit-column-serial style.
+    for (auto baseline : {make_huaa(), make_stripes(), make_scnn()}) {
+        baseline.sparsity = SparsityMode::kWeightBitColumn;
+        rejected(baseline, baseline.name.c_str());
+    }
+}
+
 TEST(Model, EnergyComponentsSumToTotal)
 {
     const auto r = run(make_bitwave(BitWaveVariant::kDfSm),

@@ -49,45 +49,80 @@ bitwave_cost_config()
 
 TEST(MappingCost, AgreesWithAnalyticalModelPerCandidate)
 {
-    // The cost model must mirror model_layer's bit-column accounting
-    // term for term: forcing the model onto each single candidate SU
-    // must reproduce the candidate's mapping_cost exactly.
+    // model_layer prices bit-column layers through mapping_cost: forcing
+    // the model onto each single candidate SU must reproduce the
+    // candidate's mapping_cost exactly, for the dense and the BCS
+    // variants, on every SU (SU7 for the depthwise probe) and at every
+    // network position (the LayerContext -> DRAM-flag mapping).
     const LayerDesc probes[] = {
         make_conv("late", 512, 512, 7, 7, 3, 3),
         make_linear("ffn_out", 768, 3072, 4),
         make_pointwise("pw", 96, 16, 112, 112),
+        make_depthwise("dwcv", 96, 56, 56, 3),
+    };
+    const BitWaveVariant variants[] = {
+        BitWaveVariant::kDenseSu,
+        BitWaveVariant::kDynamicDf,
+        BitWaveVariant::kDfSm,
+    };
+    struct Position
+    {
+        LayerContext ctx;
+        const char *name;
+    };
+    const Position positions[] = {
+        {{false, false}, "interior"},
+        {{true, false}, "first"},
+        {{false, true}, "last"},
     };
     for (const auto &desc : probes) {
         const Probe probe(desc);
         const LayerDesc mapped = normalized_for_mapping(desc);
+        const bool depthwise = desc.kind == LayerKind::kDepthwiseConv;
         const auto planes =
             shared_bitplanes(probe.layer.weights,
                              Representation::kSignMagnitude,
                              probe.layer.weights_hash);
-        for (const auto &su : bitwave_sus()) {
-            if (su.depthwise_only) {
-                continue;
+        for (const BitWaveVariant variant : variants) {
+            const auto base = make_bitwave(variant);
+            search::MappingCostConfig cfg = bitwave_cost_config();
+            cfg.memory = base.memory;
+            cfg.skip_zero_columns =
+                base.sparsity == SparsityMode::kWeightBitColumn;
+            cfg.compress_weights = base.compress_weights;
+            // Dense pricing reads no weights.
+            const BitPlanes *pp =
+                cfg.skip_zero_columns || cfg.compress_weights
+                    ? planes.get() : nullptr;
+            for (const auto &su : base.dataflows) {
+                if (su.depthwise_only != depthwise) {
+                    continue;
+                }
+                auto config = base;
+                config.dataflows = {su};
+                const AcceleratorModel model(config);
+                for (const Position &pos : positions) {
+                    SCOPED_TRACE(desc.name + " / " + base.name + " / " +
+                                 su.name + " / " + pos.name);
+                    cfg.input_from_dram = pos.ctx.first_layer;
+                    cfg.output_to_dram = pos.ctx.last_layer;
+                    const LayerResult r =
+                        model.model_layer(probe.layer, nullptr, pos.ctx);
+                    const search::MappingCost c = search::mapping_cost(
+                        mapped, su, pp, probe.layer.weights_hash, cfg);
+                    EXPECT_EQ(r.su_name, su.name);
+                    EXPECT_EQ(c.utilization, r.utilization);
+                    EXPECT_EQ(static_cast<double>(mapped.macs()),
+                              r.effective_macs);
+                    EXPECT_EQ(c.compute_cycles, r.compute_cycles);
+                    EXPECT_EQ(c.cycles_per_group, r.cycles_per_group);
+                    EXPECT_EQ(c.dram_cycles, r.dram_cycles);
+                    EXPECT_EQ(c.total_cycles, r.total_cycles);
+                    EXPECT_EQ(c.weight_fetch_ratio, r.weight_fetch_ratio);
+                    EXPECT_EQ(c.energy.total_pj, r.energy.total_pj);
+                    EXPECT_EQ(c.energy.dram_pj, r.energy.dram_pj);
+                }
             }
-            auto config = make_bitwave(BitWaveVariant::kDfSm);
-            config.dataflows = {su};
-            const AcceleratorModel model(config);
-            const LayerResult r = model.model_layer(probe.layer);
-            const search::MappingCost c = search::mapping_cost(
-                mapped, su, planes.get(), probe.layer.weights_hash,
-                bitwave_cost_config());
-            EXPECT_NEAR(c.total_cycles, r.total_cycles,
-                        1e-6 * r.total_cycles)
-                << desc.name << " / " << su.name;
-            EXPECT_NEAR(c.compute_cycles, r.compute_cycles,
-                        1e-6 * r.compute_cycles)
-                << desc.name << " / " << su.name;
-            EXPECT_NEAR(c.energy.total_pj, r.energy.total_pj,
-                        1e-6 * r.energy.total_pj)
-                << desc.name << " / " << su.name;
-            // DRAM bits must price identically through both Eq. (4)
-            // paths — same bits, same DramModel, same picojoules.
-            EXPECT_DOUBLE_EQ(c.energy.dram_pj, r.energy.dram_pj)
-                << desc.name << " / " << su.name;
         }
     }
 }
