@@ -176,7 +176,10 @@ main()
                    s.sync_cycles_per_group == p.sync_cycles_per_group);
     }
 
-    {  // Sparsity statistics (needs both representations).
+    {  // Sparsity statistics (needs both representations). The left
+       // column times the tensor overload, itself a byte-histogram
+       // pass now (the element walk lives on in test_sparsity as a
+       // reference), against the plane popcounts on packed planes.
         BitPlanes p2c;
         const double pack2c_ms =
             time_ms([&] {

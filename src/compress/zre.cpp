@@ -31,6 +31,40 @@ nonzero_byte_bits(std::uint64_t v)
     return (nz * 0x0102040810204080ULL) >> 56;
 }
 
+/// Non-zero mask of the 64 elements at @p p: bit j set iff element j
+/// is non-zero.
+inline std::uint64_t
+chunk_nonzero_mask(const std::int8_t *p)
+{
+    std::uint64_t mask = 0;
+    for (int w = 0; w < 8; ++w) {
+        std::uint64_t v;
+        std::memcpy(&v, p + 8 * w, sizeof v);
+        mask |= nonzero_byte_bits(v) << (8 * w);
+    }
+    return mask;
+}
+
+/// True iff @p z holds 16 consecutive set bits.
+inline bool
+has_run_of_16(std::uint64_t z)
+{
+    z &= z >> 1;  // bit i: bits i..i+1 set
+    z &= z >> 2;  // i..i+3
+    z &= z >> 4;  // i..i+7
+    z &= z >> 8;  // i..i+15
+    return z != 0;
+}
+
+/// original / stored bits, or original when nothing is stored.
+double
+ratio_or_original(std::int64_t original, std::int64_t stored)
+{
+    return stored > 0
+        ? static_cast<double>(original) / static_cast<double>(stored)
+        : static_cast<double>(original);
+}
+
 /// Fold @p zeros newly seen zeros into the running counter, emitting the
 /// saturated padding entries exactly as the one-by-one loop would.
 inline void
@@ -66,19 +100,78 @@ ZreCompressed::original_bits() const
 double
 ZreCompressed::compression_ratio() const
 {
-    const std::int64_t c = compressed_bits();
-    return c > 0 ? static_cast<double>(original_bits()) /
-                       static_cast<double>(c)
-                 : static_cast<double>(original_bits());
+    return ratio_or_original(original_bits(), compressed_bits());
 }
 
 double
 ZreCompressed::ideal_compression_ratio() const
 {
-    const std::int64_t p = payload_bits();
-    return p > 0 ? static_cast<double>(original_bits()) /
-                       static_cast<double>(p)
-                 : static_cast<double>(original_bits());
+    return ratio_or_original(original_bits(), payload_bits());
+}
+
+double
+ZreSizeInfo::compression_ratio() const
+{
+    return ratio_or_original(original_bits(), compressed_bits());
+}
+
+double
+ZreSizeInfo::ideal_compression_ratio() const
+{
+    return ratio_or_original(original_bits(), payload_bits());
+}
+
+ZreSizeInfo
+zre_measure(const Int8Tensor &tensor)
+{
+    const std::int8_t *data = tensor.data();
+    const std::int64_t n = tensor.numel();
+    std::int64_t values = 0;
+    std::int64_t padding = 0;
+    std::int64_t run = 0;  // zeros since the last value, uncapped
+
+    // Fold one chunk of @p len <= 64 elements with non-zero @p mask
+    // (no bit at or above len).
+    const auto count_chunk = [&](std::uint64_t mask, std::int64_t len) {
+        if (mask == 0) {
+            run += len;
+            return;
+        }
+        values += std::popcount(mask);
+        const int first = std::countr_zero(mask);
+        const int last = 63 - std::countl_zero(mask);
+        padding += (run + first) / 16;
+        // Zeros strictly between the chunk's first and last value: only
+        // a run of 16 or more of them pads.
+        const std::uint64_t below_first = (mask ^ (mask - 1)) >> 1;
+        const std::uint64_t above_last =
+            last == 63 ? 0 : ~std::uint64_t{0} << (last + 1);
+        if (has_run_of_16(~(mask | below_first | above_last))) {
+            int prev = first + 1;
+            for (std::uint64_t m = mask & (mask - 1); m != 0;
+                 m &= m - 1) {
+                const int j = std::countr_zero(m);
+                padding += (j - prev) / 16;
+                prev = j + 1;
+            }
+        }
+        run = len - 1 - last;
+    };
+
+    const std::int64_t whole = n & ~std::int64_t{63};
+    for (std::int64_t chunk = 0; chunk < whole; chunk += 64) {
+        count_chunk(chunk_nonzero_mask(data + chunk), 64);
+    }
+    if (whole < n) {
+        std::int8_t tail[64] = {};
+        std::memcpy(tail, data + whole, static_cast<std::size_t>(n - whole));
+        count_chunk(chunk_nonzero_mask(tail), n - whole);
+    }
+
+    ZreSizeInfo info;
+    info.element_count = n;
+    info.entries = values + padding + run / 16 + (run % 16 != 0 ? 1 : 0);
+    return info;
 }
 
 ZreCompressed
@@ -98,12 +191,7 @@ zre_compress(const Int8Tensor &tensor)
         static_cast<std::size_t>(whole / 64));
     std::int64_t nonzeros = 0;
     for (std::int64_t chunk = 0; chunk < whole; chunk += 64) {
-        std::uint64_t mask = 0;
-        for (int w = 0; w < 8; ++w) {
-            std::uint64_t v;
-            std::memcpy(&v, data + chunk + 8 * w, sizeof v);
-            mask |= nonzero_byte_bits(v) << (8 * w);
-        }
+        const std::uint64_t mask = chunk_nonzero_mask(data + chunk);
         masks[static_cast<std::size_t>(chunk / 64)] = mask;
         nonzeros += std::popcount(mask);
     }

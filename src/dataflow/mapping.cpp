@@ -1,6 +1,7 @@
 #include "dataflow/mapping.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -116,15 +117,16 @@ inline std::uint64_t
 bytemax(std::uint64_t x, std::uint64_t y)
 {
     const std::uint64_t kHi = 0x8080808080808080ULL;
-    // Byte b of ge is 1 exactly when x_b >= y_b.
+    // Byte b of ge is 1 exactly when x_b >= y_b; mask widens each such
+    // byte to 0xFF (byte b contributes 256^(b+1) - 256^b, mod 2^64).
     const std::uint64_t ge = (((x | kHi) - y) & kHi) >> 7;
-    const std::uint64_t mask = (ge * 0x7FULL) | (ge << 7);
+    const std::uint64_t mask = (ge << 8) - ge;
     return (x & mask) | (y & ~mask);
 }
 
 /// Unaligned 8-byte load / store.
 inline std::uint64_t
-load_u64(const std::uint8_t *p)
+load_u64(const void *p)
 {
     std::uint64_t v;
     std::memcpy(&v, p, sizeof v);
@@ -271,6 +273,138 @@ column_cycle_stats_scalar(const Int8Tensor &weights, const LayerDesc &desc,
     return cycle_stats_from_indexes(idx, desc, rows, groups_per_row, ku);
 }
 
+// ---- Word-parallel bit-serial kernels ----------------------------------
+//
+// The Pragmatic and Bitlet statistics read eight weights per 64-bit
+// load: the word is re-encoded in the machine's representation byte by
+// byte, and the per-weight quantities (popcounts, one significance's
+// bits) stay in byte lanes until a lane group or window closes. Every
+// count is an exact integer; the result divides once at the end.
+
+namespace {
+
+inline constexpr std::uint64_t kByteHi = 0x8080808080808080ULL;
+inline constexpr std::uint64_t kByteOnes = 0x0101010101010101ULL;
+
+/// The eight int8 bytes of @p v re-encoded in sign-magnitude, each
+/// exactly as to_sign_magnitude() (-128 clamps to -127, i.e. 0xFF).
+inline std::uint64_t
+sign_magnitude_bytes(std::uint64_t v)
+{
+    // Per-byte negation ~v + 1: the add of the low seven bits cannot
+    // carry into the next byte, and bit 7 is restored by the xor.
+    const std::uint64_t t = ~v;
+    const std::uint64_t neg = ((t & ~kByteHi) + kByteOnes) ^ (t & kByteHi);
+    // Bytes of neg with bit 7 set drop by one, which turns -(-128) =
+    // 0x80 into the clamped magnitude 0x7F; such a byte never borrows.
+    // (The other bytes with bit 7 set belong to non-negative values,
+    // which keep their own encoding below.)
+    const std::uint64_t mag = neg - ((neg & kByteHi) >> 7);
+    const std::uint64_t negative = ((v & kByteHi) >> 7) * 0xFFULL;
+    return (v & ~negative) | ((mag | kByteHi) & negative);
+}
+
+/// Largest byte of @p v; valid while every byte is < 0x80.
+inline int
+max_byte(std::uint64_t v)
+{
+    v = bytemax(v, v >> 32);
+    v = bytemax(v, v >> 16);
+    v = bytemax(v, v >> 8);
+    return static_cast<int>(v & 0xFF);
+}
+
+/**
+ * The largest byte of each of @p w[0..7], as the eight bytes of one
+ * word (in a fixed permuted order); valid while every byte is < 0x80.
+ * Three rounds of half-swaps pair the words up, so the reduction costs
+ * seven bytemax calls for eight words instead of three per word.
+ */
+inline std::uint64_t
+max_byte_of_each(const std::uint64_t (&w)[8])
+{
+    constexpr std::uint64_t kLo32 = 0x00000000FFFFFFFFULL;
+    constexpr std::uint64_t kLo16 = 0x0000FFFF0000FFFFULL;
+    constexpr std::uint64_t kLo8 = 0x00FF00FF00FF00FFULL;
+    // Round 1: word 2j's halves meet in the low half, word 2j+1's in
+    // the high half; rounds 2 and 3 repeat at 16- and 8-bit lanes.
+    std::uint64_t h[4];
+    for (int j = 0; j < 4; ++j) {
+        const std::uint64_t a = w[2 * j], b = w[2 * j + 1];
+        h[j] = bytemax((a & kLo32) | (b << 32), (a >> 32) | (b & ~kLo32));
+    }
+    std::uint64_t q[2];
+    for (int j = 0; j < 2; ++j) {
+        const std::uint64_t a = h[2 * j], b = h[2 * j + 1];
+        q[j] = bytemax((a & kLo16) | ((b & kLo16) << 16),
+                       ((a >> 16) & kLo16) | (b & ~kLo16));
+    }
+    return bytemax((q[0] & kLo8) | ((q[1] & kLo8) << 8),
+                   ((q[0] >> 8) & kLo8) | (q[1] & ~kLo8));
+}
+
+/// Sum of the eight bytes of @p v.
+inline std::int64_t
+sum_bytes(std::uint64_t v)
+{
+    v = (v & 0x00FF00FF00FF00FFULL) + ((v >> 8) & 0x00FF00FF00FF00FFULL);
+    return static_cast<std::int64_t>((v * 0x0001000100010001ULL) >> 48);
+}
+
+// A group's short final load keeps its first bytes by masking the low
+// end of the word, which holds only for little-endian loads.
+static_assert(std::endian::native == std::endian::little,
+              "scan_groups masks partial loads assuming little-endian");
+
+/**
+ * Walk @p weights from element @p begin in consecutive groups of
+ * @p group elements (the last one may be short): each group's bytes
+ * reach @p word as 64-bit loads encoded by @p encode, then @p end_group
+ * closes the group. A group's final load is zero-filled past the
+ * group's end, which adds no set bit in either representation (zero
+ * encodes to zero), and it never reads past the tensor.
+ */
+template <typename Encode, typename Word, typename EndGroup>
+void
+scan_groups(const Int8Tensor &weights, std::int64_t begin, std::int64_t group,
+            Encode encode, Word word, EndGroup end_group)
+{
+    const std::int8_t *data = weights.data();
+    const std::int64_t n = weights.numel();
+    for (std::int64_t start = begin; start < n; start += group) {
+        const std::int64_t end = std::min<std::int64_t>(start + group, n);
+        std::int64_t i = start;
+        for (; i + 8 <= end; i += 8) {
+            word(encode(load_u64(data + i)));
+        }
+        if (i < end) {
+            const std::int64_t len = end - i;
+            std::uint64_t v = 0;
+            if (i + 8 <= n) {
+                v = load_u64(data + i) &
+                    ((std::uint64_t{1} << (8 * len)) - 1);
+            } else {
+                std::memcpy(&v, data + i, static_cast<std::size_t>(len));
+            }
+            word(encode(v));
+        }
+        end_group();
+    }
+}
+
+/// Run @p kernel with the byte encoder of @p repr.
+template <typename Kernel>
+double
+with_encoding(Representation repr, Kernel kernel)
+{
+    if (repr == Representation::kTwosComplement) {
+        return kernel([](std::uint64_t v) { return v; });
+    }
+    return kernel([](std::uint64_t v) { return sign_magnitude_bytes(v); });
+}
+
+}  // namespace
+
 double
 bit_serial_sync_cycles(const Int8Tensor &weights, std::int64_t lanes,
                        Representation repr)
@@ -278,23 +412,38 @@ bit_serial_sync_cycles(const Int8Tensor &weights, std::int64_t lanes,
     if (lanes < 1) {
         fatal("bit_serial_sync_cycles: lanes must be >= 1");
     }
-    const std::int64_t n = weights.numel();
-    double total = 0.0;
-    std::int64_t steps = 0;
-    for (std::int64_t start = 0; start < n; start += lanes) {
-        const std::int64_t end = std::min<std::int64_t>(start + lanes, n);
-        int worst = 0;
-        for (std::int64_t i = start; i < end; ++i) {
-            const std::uint8_t enc =
-                repr == Representation::kTwosComplement
-                ? static_cast<std::uint8_t>(weights[i])
-                : to_sign_magnitude(weights[i]);
-            worst = std::max(worst, popcount8(enc));
+    return with_encoding(repr, [&](auto encode) {
+        std::int64_t total = 0;
+        std::int64_t steps = 0;
+        std::int64_t begin = 0;
+        if (lanes == 8) {
+            // Each load is one lane set: eight sets per 64 weights
+            // reduce together, one bytemax per load.
+            const std::int8_t *data = weights.data();
+            for (; begin + 64 <= weights.numel(); begin += 64) {
+                std::uint64_t pc[8];
+                for (int j = 0; j < 8; ++j) {
+                    pc[j] = popcount_bytes(
+                        encode(load_u64(data + begin + 8 * j)));
+                }
+                total += sum_bytes(max_byte_of_each(pc));
+                steps += 8;
+            }
         }
-        total += worst;
-        ++steps;
-    }
-    return steps > 0 ? total / static_cast<double>(steps) : 0.0;
+        std::uint64_t worst = 0;  // per-byte max popcount of the group
+        const auto word = [&](std::uint64_t v) {
+            worst = bytemax(worst, popcount_bytes(v));
+        };
+        const auto end_group = [&] {
+            total += max_byte(worst);
+            worst = 0;
+            ++steps;
+        };
+        scan_groups(weights, begin, lanes, encode, word, end_group);
+        return steps > 0
+            ? static_cast<double>(total) / static_cast<double>(steps)
+            : 0.0;
+    });
 }
 
 double
@@ -304,25 +453,43 @@ bit_interleave_cycles(const Int8Tensor &weights, std::int64_t window,
     if (window < 1) {
         fatal("bit_interleave_cycles: window must be >= 1");
     }
-    const std::int64_t n = weights.numel();
-    double total = 0.0;
-    std::int64_t steps = 0;
-    for (std::int64_t start = 0; start < n; start += window) {
-        const std::int64_t end = std::min<std::int64_t>(start + window, n);
-        int per_significance[8] = {};
-        for (std::int64_t i = start; i < end; ++i) {
-            const std::uint8_t enc =
-                repr == Representation::kTwosComplement
-                ? static_cast<std::uint8_t>(weights[i])
-                : to_sign_magnitude(weights[i]);
-            for (int b = 0; b < 8; ++b) {
-                per_significance[b] += (enc >> b) & 1;
+    return with_encoding(repr, [&](auto encode) {
+        std::int64_t total = 0;
+        std::int64_t steps = 0;
+        // Byte lane j of lane_counts[b] counts the window's words whose
+        // byte j has bit b set; a lane holds at most 255, so the lanes
+        // fold into per_significance every 255 loads.
+        std::uint64_t lane_counts[kWordBits] = {};
+        std::int64_t per_significance[kWordBits] = {};
+        int loads = 0;
+        const auto fold = [&] {
+            for (int b = 0; b < kWordBits; ++b) {
+                per_significance[b] += sum_bytes(lane_counts[b]);
+                lane_counts[b] = 0;
             }
-        }
-        total += *std::max_element(per_significance, per_significance + 8);
-        ++steps;
-    }
-    return steps > 0 ? total / static_cast<double>(steps) : 0.0;
+            loads = 0;
+        };
+        const auto word = [&](std::uint64_t v) {
+            for (int b = 0; b < kWordBits; ++b) {
+                lane_counts[b] += (v >> b) & kByteOnes;
+            }
+            if (++loads == 255) {
+                fold();
+            }
+        };
+        const auto end_group = [&] {
+            fold();
+            total += *std::max_element(per_significance,
+                                       per_significance + kWordBits);
+            std::fill(per_significance, per_significance + kWordBits,
+                      std::int64_t{0});
+            ++steps;
+        };
+        scan_groups(weights, 0, window, encode, word, end_group);
+        return steps > 0
+            ? static_cast<double>(total) / static_cast<double>(steps)
+            : 0.0;
+    });
 }
 
 double

@@ -70,6 +70,13 @@ ColumnCycleStats column_cycle_stats_scalar(const Int8Tensor &weights,
  * Per-weight-word bit-serial statistics for accelerators that skip zero
  * *bits* (not columns): Pragmatic-style, synchronizing @p lanes lanes.
  * Returns mean max-popcount per synchronized lane set.
+ *
+ * Word-parallel: each 64-bit load of eight weights is re-encoded in
+ * @p repr and popcounted per byte, and a lane set's maximum is a
+ * running per-byte max over its loads. With lanes = 8 each load is one
+ * set, and the maxima of eight sets reduce together (one byte-max per
+ * load). Exact for any @p lanes: the per-set maxima are summed as
+ * integers and divided once.
  */
 double bit_serial_sync_cycles(const Int8Tensor &weights, std::int64_t lanes,
                               Representation repr);
@@ -80,6 +87,12 @@ double bit_serial_sync_cycles(const Int8Tensor &weights, std::int64_t lanes,
  * maximum per-significance occupancy (the number of words carrying a
  * non-zero bit at the worst bit position), the sync bottleneck the paper
  * ascribes to Bitlet on large arrays.
+ *
+ * Word-parallel: for each 64-bit load of eight encoded weights and each
+ * significance b, `(v >> b) & 0x0101...01` adds that bit of all eight
+ * weights into byte lanes at once; a window's per-significance count is
+ * the byte sum of its lanes. Exact integer counts for any @p window,
+ * divided once.
  */
 double bit_interleave_cycles(const Int8Tensor &weights, std::int64_t window,
                              Representation repr);

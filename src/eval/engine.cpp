@@ -102,7 +102,7 @@ build_layer_stats(const StatsSpec &spec, const Int8Tensor &w,
     }
     stats.weight_bits = w.numel() * 8;
     if (spec.reference_codecs) {
-        const auto zre = zre_compress(w);
+        const auto zre = zre_measure(w);
         stats.zre_bits = zre.compressed_bits();
         stats.zre_ideal_bits = zre.payload_bits();
         // Word-parallel CSR over the already-packed 2C planes.

@@ -133,7 +133,7 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
 
     // ---- STEP2: sparsity statistics --------------------------------------
     // Lazy: only the value/bit-sparsity machines read them, so dense
-    // baselines never pay the element-wise scan.
+    // baselines never pay the histogram pass over the weights.
     std::optional<SparsityStats> wstats_memo;
     const auto wstats = [&]() -> const SparsityStats & {
         if (!wstats_memo) {
@@ -224,8 +224,7 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     CompressionFactors cf;
     if (config_.compress_weights &&
         config_.sparsity == SparsityMode::kValue) {
-        const auto compressed = zre_compress(w);
-        cf.weight_fetch_ratio = 1.0 / compressed.compression_ratio();
+        cf.weight_fetch_ratio = 1.0 / zre_measure(w).compression_ratio();
         // 12-bit ZRE entries for the (1 - Sw) surviving weights.
         cf.weight_sram_overhead = (1.0 - sw()) * 12.0 / 8.0;
     }

@@ -1,5 +1,6 @@
 #include "sparsity/stats.hpp"
 
+#include <array>
 #include <bit>
 #include <limits>
 
@@ -81,16 +82,41 @@ compute_sparsity(const BitPlanes &planes_2c, const BitPlanes &planes_sm)
 SparsityStats
 compute_sparsity(const Int8Tensor &tensor)
 {
+    // One pass fills a 256-bin value histogram (four interleaved copies,
+    // so runs of equal bytes do not serialize on one counter); zero
+    // words and the zero bits of both encodings then fold out of the
+    // 256 bins as exact integer products.
+    std::array<std::array<std::int64_t, 256>, 4> hist{};
+    const std::int8_t *data = tensor.data();
+    const auto bin = [data](std::int64_t i) {
+        return static_cast<std::uint8_t>(data[i]);
+    };
+    const std::int64_t n = tensor.numel();
+    std::int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        ++hist[0][bin(i)];
+        ++hist[1][bin(i + 1)];
+        ++hist[2][bin(i + 2)];
+        ++hist[3][bin(i + 3)];
+    }
+    for (; i < n; ++i) {
+        ++hist[0][bin(i)];
+    }
+
     SparsityStats stats;
-    stats.words = tensor.numel();
-    stats.bits = tensor.numel() * kWordBits;
-    for (std::int64_t i = 0; i < tensor.numel(); ++i) {
-        const std::int8_t v = tensor[i];
-        if (v == 0) {
-            ++stats.zero_words;
+    stats.words = n;
+    stats.bits = n * kWordBits;
+    for (int byte = 0; byte < 256; ++byte) {
+        const std::int64_t count = hist[0][byte] + hist[1][byte] +
+            hist[2][byte] + hist[3][byte];
+        const auto value = static_cast<std::int8_t>(byte);
+        if (value == 0) {
+            stats.zero_words = count;
         }
-        stats.zero_bits_2c += kWordBits - bit_count_twos_complement(v);
-        stats.zero_bits_sm += kWordBits - bit_count_sign_magnitude(v);
+        stats.zero_bits_2c +=
+            count * (kWordBits - bit_count_twos_complement(value));
+        stats.zero_bits_sm +=
+            count * (kWordBits - bit_count_sign_magnitude(value));
     }
     return stats;
 }

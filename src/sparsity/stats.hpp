@@ -41,7 +41,13 @@ struct SparsityStats
     void merge(const SparsityStats &other);
 };
 
-/// Compute sparsity statistics over all elements of @p tensor.
+/**
+ * Compute sparsity statistics over all elements of @p tensor without
+ * packing bit planes: one pass fills a 256-bin byte histogram, and zero
+ * words and the 2C/SM zero-bit counts fold out of the 256 bins (each
+ * bin's count times that value's zero bits). Exact integer counts,
+ * bit-identical to the plane overload below.
+ */
 SparsityStats compute_sparsity(const Int8Tensor &tensor);
 
 /**

@@ -11,6 +11,8 @@
 #include "compress/bcs.hpp"
 #include "compress/csr.hpp"
 #include "compress/zre.hpp"
+#include "kernel_inputs.hpp"
+#include "nn/workloads.hpp"
 
 namespace bitwave {
 namespace {
@@ -201,6 +203,94 @@ TEST(Zre, WordParallelMatchesScalarOracle)
                 ASSERT_EQ(fast.entries[i].value, slow.entries[i].value);
             }
             EXPECT_EQ(zre_decompress(fast), t);
+        }
+    }
+}
+
+/// Element-at-a-time reference for zre_measure: the stream length of
+/// the one-by-one encoder (a padding entry per 16 zeros before a value,
+/// a closing entry for a trailing partial run).
+std::int64_t
+reference_zre_entries(const Int8Tensor &tensor)
+{
+    std::int64_t entries = 0;
+    int run = 0;
+    for (std::int64_t i = 0; i < tensor.numel(); ++i) {
+        if (tensor[i] == 0) {
+            if (++run == 16) {
+                ++entries;
+                run = 0;
+            }
+            continue;
+        }
+        ++entries;
+        run = 0;
+    }
+    return entries + (run > 0 ? 1 : 0);
+}
+
+void
+expect_measure_matches(const Int8Tensor &t, const std::string &what)
+{
+    const auto measured = zre_measure(t);
+    const auto stream = zre_compress(t);
+    EXPECT_EQ(measured.entries, reference_zre_entries(t)) << what;
+    EXPECT_EQ(measured.entries,
+              static_cast<std::int64_t>(stream.entries.size()))
+        << what;
+    EXPECT_EQ(measured.element_count, stream.element_count) << what;
+    EXPECT_EQ(measured.compressed_bits(), stream.compressed_bits()) << what;
+    EXPECT_EQ(measured.payload_bits(), stream.payload_bits()) << what;
+    EXPECT_EQ(measured.compression_ratio(), stream.compression_ratio())
+        << what;
+    EXPECT_EQ(measured.ideal_compression_ratio(),
+              stream.ideal_compression_ratio())
+        << what;
+}
+
+TEST(Zre, MeasureCountsTheStreamOnEdgeCases)
+{
+    for (const auto &[name, t] : test::adversarial_tensors()) {
+        expect_measure_matches(t, name);
+    }
+    // Every single zero run length 0..140 before a value and at the end,
+    // at every offset within a chunk.
+    for (int offset = 0; offset < 64; offset += 9) {
+        for (int run = 0; run <= 140; ++run) {
+            Int8Tensor before({offset + run + 1});
+            before.fill(4);
+            Int8Tensor trailing({offset + run});
+            trailing.fill(-4);
+            for (int i = 0; i < run; ++i) {
+                before[offset + i] = 0;
+                trailing[offset + i] = 0;
+            }
+            const std::string where = " offset=" + std::to_string(offset) +
+                " run=" + std::to_string(run);
+            expect_measure_matches(before, "before" + where);
+            expect_measure_matches(trailing, "trailing" + where);
+        }
+    }
+}
+
+TEST(Zre, MeasureCountsTheStreamOnRandomSparseTensors)
+{
+    for (int trial = 0; trial < 200; ++trial) {
+        const double zero_prob = static_cast<double>(trial % 20) / 19.0;
+        const auto t = random_tensor(
+            1 + (trial * 37) % 3000, 20.0, zero_prob,
+            static_cast<std::uint64_t>(trial) + 101);
+        expect_measure_matches(t, "trial " + std::to_string(trial));
+    }
+}
+
+TEST(Zre, MeasureCountsTheStreamOnEveryLayer)
+{
+    for (auto id : {WorkloadId::kResNet18, WorkloadId::kCnnLstm}) {
+        for (const auto &layer : get_workload(id).layers) {
+            EXPECT_EQ(zre_measure(layer.weights).entries,
+                      reference_zre_entries(layer.weights))
+                << layer.desc.name;
         }
     }
 }

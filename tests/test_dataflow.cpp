@@ -5,8 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "dataflow/mapping.hpp"
+#include "kernel_inputs.hpp"
 #include "dataflow/su.hpp"
 #include "nn/synthesis.hpp"
 #include "nn/workloads.hpp"
@@ -231,6 +235,114 @@ TEST(BitInterleave, BoundedByWindowDensity)
         bit_interleave_cycles(w, 64, Representation::kTwosComplement);
     EXPECT_GT(cycles, 0.0);
     EXPECT_LE(cycles, 64.0);
+}
+
+// Element-at-a-time references for the word-parallel bit-serial
+// kernels: encode each weight, then walk its bits.
+
+std::uint8_t
+encode(std::int8_t v, Representation repr)
+{
+    return repr == Representation::kTwosComplement
+        ? static_cast<std::uint8_t>(v)
+        : to_sign_magnitude(v);
+}
+
+double
+reference_bit_serial_sync_cycles(const Int8Tensor &weights,
+                                 std::int64_t lanes, Representation repr)
+{
+    const std::int64_t n = weights.numel();
+    double total = 0.0;
+    std::int64_t steps = 0;
+    for (std::int64_t start = 0; start < n; start += lanes) {
+        const std::int64_t end = std::min<std::int64_t>(start + lanes, n);
+        int worst = 0;
+        for (std::int64_t i = start; i < end; ++i) {
+            worst = std::max(worst, popcount8(encode(weights[i], repr)));
+        }
+        total += worst;
+        ++steps;
+    }
+    return steps > 0 ? total / static_cast<double>(steps) : 0.0;
+}
+
+double
+reference_bit_interleave_cycles(const Int8Tensor &weights,
+                                std::int64_t window, Representation repr)
+{
+    const std::int64_t n = weights.numel();
+    double total = 0.0;
+    std::int64_t steps = 0;
+    for (std::int64_t start = 0; start < n; start += window) {
+        const std::int64_t end = std::min<std::int64_t>(start + window, n);
+        int per_significance[8] = {};
+        for (std::int64_t i = start; i < end; ++i) {
+            const std::uint8_t enc = encode(weights[i], repr);
+            for (int b = 0; b < 8; ++b) {
+                per_significance[b] += (enc >> b) & 1;
+            }
+        }
+        total += *std::max_element(per_significance, per_significance + 8);
+        ++steps;
+    }
+    return steps > 0 ? total / static_cast<double>(steps) : 0.0;
+}
+
+constexpr Representation kBothReprs[] = {Representation::kTwosComplement,
+                                         Representation::kSignMagnitude};
+
+/// Exact equality of both kernels with their references over
+/// @p weights for every lane count and window in the sweep.
+void
+expect_bit_serial_kernels_exact(const Int8Tensor &weights,
+                                const std::string &what)
+{
+    for (auto repr : kBothReprs) {
+        for (std::int64_t lanes : {1, 3, 8, 16, 64}) {
+            EXPECT_EQ(bit_serial_sync_cycles(weights, lanes, repr),
+                      reference_bit_serial_sync_cycles(weights, lanes, repr))
+                << what << " lanes=" << lanes << " "
+                << representation_name(repr);
+        }
+        for (std::int64_t window : {1, 7, 64, 100}) {
+            EXPECT_EQ(bit_interleave_cycles(weights, window, repr),
+                      reference_bit_interleave_cycles(weights, window, repr))
+                << what << " window=" << window << " "
+                << representation_name(repr);
+        }
+    }
+}
+
+TEST(BitSerialKernels, MatchElementWalkOnEdgeCases)
+{
+    for (const auto &[name, t] : test::adversarial_tensors()) {
+        expect_bit_serial_kernels_exact(t, name);
+    }
+}
+
+TEST(BitSerialKernels, MatchElementWalkOnEveryLayer)
+{
+    for (auto id : {WorkloadId::kResNet18, WorkloadId::kCnnLstm}) {
+        for (const auto &layer : get_workload(id).layers) {
+            expect_bit_serial_kernels_exact(layer.weights, layer.desc.name);
+        }
+    }
+}
+
+TEST(BitSerialKernels, LongWindowsFoldByteLanesExactly)
+{
+    // Windows longer than 255 loads (2040 weights) overflow a byte lane
+    // unless it is folded; all-(-1) sets every bit of every weight.
+    Int8Tensor w({5000});
+    w.fill(-1);
+    for (std::int64_t window : {2040, 2041, 4096, 5000}) {
+        EXPECT_EQ(bit_interleave_cycles(w, window,
+                                        Representation::kTwosComplement),
+                  reference_bit_interleave_cycles(
+                      w, window, Representation::kTwosComplement))
+            << window;
+    }
 }
 
 // -------------------------------------------------------- access model ---

@@ -7,6 +7,8 @@
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
+#include "kernel_inputs.hpp"
+#include "nn/workloads.hpp"
 #include "sparsity/bitcolumn.hpp"
 #include "sparsity/stats.hpp"
 
@@ -75,6 +77,54 @@ TEST(SparsityStats, SignMagnitudeSparsityExceedsTwosComplement)
               s.bit_sparsity(Representation::kTwosComplement));
     EXPECT_GT(s.bit_sparsity(Representation::kTwosComplement),
               s.value_sparsity());
+}
+
+/// Element-at-a-time reference for compute_sparsity(const Int8Tensor&):
+/// per-element zero test and per-encoding popcounts.
+SparsityStats
+reference_sparsity(const Int8Tensor &tensor)
+{
+    SparsityStats stats;
+    stats.words = tensor.numel();
+    stats.bits = tensor.numel() * kWordBits;
+    for (std::int64_t i = 0; i < tensor.numel(); ++i) {
+        const std::int8_t v = tensor[i];
+        if (v == 0) {
+            ++stats.zero_words;
+        }
+        stats.zero_bits_2c += kWordBits - bit_count_twos_complement(v);
+        stats.zero_bits_sm += kWordBits - bit_count_sign_magnitude(v);
+    }
+    return stats;
+}
+
+void
+expect_same_stats(const SparsityStats &got, const SparsityStats &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.words, want.words) << what;
+    EXPECT_EQ(got.zero_words, want.zero_words) << what;
+    EXPECT_EQ(got.bits, want.bits) << what;
+    EXPECT_EQ(got.zero_bits_2c, want.zero_bits_2c) << what;
+    EXPECT_EQ(got.zero_bits_sm, want.zero_bits_sm) << what;
+}
+
+TEST(SparsityStats, HistogramMatchesElementWalkOnEdgeCases)
+{
+    for (const auto &[name, t] : test::adversarial_tensors()) {
+        expect_same_stats(compute_sparsity(t), reference_sparsity(t), name);
+    }
+}
+
+TEST(SparsityStats, HistogramMatchesElementWalkOnEveryLayer)
+{
+    for (auto id : {WorkloadId::kResNet18, WorkloadId::kCnnLstm}) {
+        for (const auto &layer : get_workload(id).layers) {
+            expect_same_stats(compute_sparsity(layer.weights),
+                              reference_sparsity(layer.weights),
+                              layer.desc.name);
+        }
+    }
 }
 
 TEST(BitColumn, IndexOfAllZeroGroupIsZero)
