@@ -176,26 +176,6 @@ main()
                    s.sync_cycles_per_group == p.sync_cycles_per_group);
     }
 
-    {  // Sparsity statistics (needs both representations). The left
-       // column times the tensor overload, itself a byte-histogram
-       // pass now (the element walk lives on in test_sparsity as a
-       // reference), against the plane popcounts on packed planes.
-        BitPlanes p2c;
-        const double pack2c_ms =
-            time_ms([&] {
-                p2c = pack_bitplanes(w, Representation::kTwosComplement);
-            });
-        SparsityStats s, p;
-        const double scalar_ms = time_ms([&] { s = compute_sparsity(w); });
-        const double packed_ms =
-            time_ms([&] { p = compute_sparsity(p2c, planes); });
-        (void)pack2c_ms;
-        report(json, table, "compute_sparsity", scalar_ms, packed_ms,
-               s.zero_words == p.zero_words &&
-                   s.zero_bits_2c == p.zero_bits_2c &&
-                   s.zero_bits_sm == p.zero_bits_sm);
-    }
-
     {  // ZRE encoding (SWAR non-zero mask scan vs per-element walk).
         ZreCompressed s, p;
         const double scalar_ms =

@@ -27,7 +27,7 @@
  *
  * A fourth replay runs the same trace under a seeded 1% wildcard
  * transient fault storm (`--faults [seed]` picks the storm seed; CI
- * sweeps it): the self-healing layer retries, bisects and quarantines,
+ * sweeps it): the self-healing layer retries in place and quarantines,
  * and the storm must complete every ticket (`fault_completed` ==
  * `requests`) with `bit_identical_under_faults` — every completion
  * still matching the direct goldens — as the second hard gate.
@@ -204,7 +204,7 @@ main(int argc, char **argv)
 
     // Fault-storm replay: the same trace under a seeded 1% wildcard
     // transient storm. The robustness gate: the service self-heals
-    // (retry, bisection, quarantine) and everything it completes is
+    // (in-place retry, quarantine) and everything it completes is
     // still bit-identical to the fault-free goldens.
     const auto faults_before = fault::stats();
     service::ServiceOptions fault_options = bench_service_options();
@@ -215,9 +215,9 @@ main(int argc, char **argv)
     fault_options.runner.threads = std::max(
         2u, std::thread::hardware_concurrency());
     fault_options.runner.shard_layers = 1;
-    fault_options.retry.max_attempts = 6;
-    fault_options.retry.backoff_seconds = 0.001;
-    fault_options.retry.max_backoff_seconds = 0.02;
+    fault_options.runner.retry.max_attempts = 6;
+    fault_options.runner.retry.backoff_seconds = 0.001;
+    fault_options.runner.retry.max_backoff_seconds = 0.02;
     service::EvalService fault_svc(fault_options);
     fault::configure("*=0.01:transient", fault_seed);
     const auto fault_replay = bench::replay_trace(fault_svc, trace);

@@ -83,19 +83,24 @@ from_sim(const LayerSimResult &r)
     return e;
 }
 
-/// Build one layer's statistics record from packed bit planes (both
-/// representations share the content-hash plane cache).
+/// Build one layer's statistics record: sparsity from the byte
+/// histogram, everything else from packed bit planes (both
+/// representations share the content-hash plane cache), packed only
+/// when the spec reads them.
 LayerStatsEval
 build_layer_stats(const StatsSpec &spec, const Int8Tensor &w,
                   std::uint64_t weights_hash)
 {
     const int group = spec.group_size;
     LayerStatsEval stats;
-    const auto p2c = shared_bitplanes(
-        w, Representation::kTwosComplement, weights_hash);
-    const auto psm = shared_bitplanes(
-        w, Representation::kSignMagnitude, weights_hash);
-    stats.sparsity = compute_sparsity(*p2c, *psm);
+    const bool need_sm = spec.column_stats || spec.bcs;
+    const auto p2c = need_sm || spec.reference_codecs
+        ? shared_bitplanes(w, Representation::kTwosComplement, weights_hash)
+        : nullptr;
+    const auto psm = need_sm
+        ? shared_bitplanes(w, Representation::kSignMagnitude, weights_hash)
+        : nullptr;
+    stats.sparsity = compute_sparsity(w);
     if (spec.column_stats) {
         stats.columns_2c = analyze_bit_columns(*p2c, group);
         stats.columns_sm = analyze_bit_columns(*psm, group);

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "common/fault.hpp"
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -44,6 +47,17 @@ runner_metrics()
     return m;
 }
 
+/// Per-scenario state shared by the chunks that touch the scenario.
+struct ScenarioSlot
+{
+    /// Synthesis and evaluation cost of its units (diagnostics only).
+    std::atomic<std::int64_t> nanos{0};
+    /// Set by the first unit that fails the scenario; its other units
+    /// are skipped from then on.
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  ///< Written by the unit that set `failed`.
+};
+
 /**
  * The batch's flat evaluation-unit space: unit u is one selected layer
  * of one scenario, scenarios laid out contiguously in batch order.
@@ -69,6 +83,18 @@ struct UnitSpace
 };
 
 }  // namespace
+
+double
+RetryPolicy::delay_seconds(std::uint64_t key, int attempt) const
+{
+    const double base = std::min(
+        backoff_seconds *
+            std::pow(backoff_multiplier, std::max(attempt - 2, 0)),
+        max_backoff_seconds);
+    const std::uint64_t draw =
+        splitmix64(0x5eedULL ^ key ^ static_cast<std::uint64_t>(attempt));
+    return base * (0.5 + 0.5 * static_cast<double>(draw >> 11) * 0x1.0p-53);
+}
 
 ScenarioRunner::ScenarioRunner(RunnerOptions options) : options_(options)
 {
@@ -96,7 +122,8 @@ ScenarioRunner::run(const std::vector<Scenario> &scenarios,
 std::vector<ScenarioResult>
 ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
                            const std::vector<std::uint64_t> &seed_overrides,
-                           RunnerReport *report) const
+                           RunnerReport *report,
+                           std::vector<std::exception_ptr> *errors) const
 {
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n = scenarios.size();
@@ -156,14 +183,94 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     for (std::size_t i = 0; i < n; ++i) {
         layer_results[i].resize(preps[i].layers.size());
     }
-    // Per-scenario cost (synthesis and evaluation of its units),
-    // accumulated lock-free across the chunks that touched the scenario
-    // (diagnostics only).
-    std::vector<std::atomic<std::int64_t>> eval_nanos(n);
+    std::vector<ScenarioSlot> slots(n);
+    std::atomic<std::int64_t> retries{0};
 
-    // One chunk [begin, end) of the unit space: synthesize and evaluate
-    // each per-scenario sub-range and scatter the records into place.
-    // Disjoint chunks write disjoint slots.
+    // Selected layers [local_begin, local_end) of scenario i: synthesize
+    // and evaluate them and scatter the records into place. Disjoint
+    // sub-ranges write disjoint slots.
+    const auto run_units = [&](std::size_t i, std::size_t local_begin,
+                               std::size_t local_end) {
+        // Context-tagged by scenario label so a chaos test can
+        // poison exactly one job of a coalesced batch
+        // (`runner.chunk@<label>=1:transient`).
+        BITWAVE_FAULT_INJECT_CTX("runner.chunk",
+                                 fault::context_tag(scenarios[i].label));
+        const std::uint64_t tr0 = trace::enabled() ? trace::now_ns() : 0;
+        const auto s0 = std::chrono::steady_clock::now();
+        // Synthesize the sub-range's pending layers that no other
+        // unit is building; evaluation then waits for the rest, so
+        // units walking one network split its synthesis instead of
+        // queueing behind each other.
+        for (std::size_t sel = local_begin;
+             preps[i].network && sel < local_end; ++sel) {
+            const std::size_t l = preps[i].layers[sel];
+            const std::uint64_t sy0 = trace::enabled() ? trace::now_ns() : 0;
+            if (preps[i].network->try_materialize(l) && sy0 != 0) {
+                trace::emit_complete("runner.synth", "runner", sy0,
+                                     trace::now_ns() - sy0, "scenario", i,
+                                     "layer", l);
+            }
+        }
+        auto evals = evaluate_layer_range(scenarios[i], preps[i], seeds[i],
+                                          local_begin, local_end);
+        const std::int64_t chunk_nanos =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - s0).count();
+        slots[i].nanos.fetch_add(chunk_nanos, std::memory_order_relaxed);
+        runner_metrics().chunk_ns.record(
+            static_cast<std::uint64_t>(chunk_nanos));
+        if (tr0 != 0) {
+            trace::emit_complete("runner.chunk", "runner", tr0,
+                                 trace::now_ns() - tr0, "scenario", i,
+                                 "layers", local_end - local_begin);
+        }
+        auto &slot = layer_results[i];
+        for (std::size_t k = 0; k < evals.size(); ++k) {
+            slot[local_begin + k] = std::move(evals[k]);
+        }
+    };
+
+    // run_units with the fault policy: a transient FaultError re-runs
+    // the sub-range in place after a backoff; anything else (or a
+    // transient out of attempts) fails scenario i alone. Cancellation
+    // propagates and aborts the batch.
+    const auto fail_scenario = [&](std::size_t i, std::exception_ptr error) {
+        if (!slots[i].failed.exchange(true, std::memory_order_acq_rel)) {
+            slots[i].error = std::move(error);
+        }
+    };
+    const auto run_units_retrying = [&](std::size_t i,
+                                        std::size_t local_begin,
+                                        std::size_t local_end) {
+        for (int attempt = 1;; ++attempt) {
+            try {
+                run_units(i, local_begin, local_end);
+                return;
+            } catch (const BatchCancelled &) {
+                throw;
+            } catch (const FaultError &e) {
+                if (e.kind() != ErrorKind::kTransient ||
+                    attempt >= options_.retry.max_attempts) {
+                    fail_scenario(i, std::current_exception());
+                    return;
+                }
+            } catch (...) {
+                fail_scenario(i, std::current_exception());
+                return;
+            }
+            retries.fetch_add(1, std::memory_order_relaxed);
+            trace::instant("runner.retry", "runner", "scenario", i,
+                           "attempt", static_cast<std::uint64_t>(attempt));
+            std::this_thread::sleep_for(std::chrono::duration<double>(
+                options_.retry.delay_seconds(seeds[i] ^ local_begin,
+                                             attempt + 1)));
+            check_cancel();
+        }
+    };
+
+    // One chunk [begin, end) of the unit space: run each per-scenario
+    // sub-range whose scenario has not failed yet.
     const auto execute = [&](std::size_t begin, std::size_t end) {
         // Cancellation polls once per chunk: the flag rides the
         // scheduler's existing first-exception-wins abort protocol, so
@@ -178,47 +285,8 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
             const std::size_t local_begin = begin - units.offsets[i];
             const std::size_t local_end =
                 std::min(end, units.offsets[i + 1]) - units.offsets[i];
-            // Context-tagged by scenario label so a chaos test can
-            // poison exactly one job of a coalesced batch
-            // (`runner.chunk@<label>=1:transient`).
-            BITWAVE_FAULT_INJECT_CTX(
-                "runner.chunk", fault::context_tag(scenarios[i].label));
-            const std::uint64_t tr0 =
-                trace::enabled() ? trace::now_ns() : 0;
-            const auto s0 = std::chrono::steady_clock::now();
-            // Synthesize the sub-range's pending layers that no other
-            // unit is building; evaluation then waits for the rest, so
-            // units walking one network split its synthesis instead of
-            // queueing behind each other.
-            for (std::size_t sel = local_begin;
-                 preps[i].network && sel < local_end; ++sel) {
-                const std::size_t l = preps[i].layers[sel];
-                const std::uint64_t sy0 =
-                    trace::enabled() ? trace::now_ns() : 0;
-                if (preps[i].network->try_materialize(l) && sy0 != 0) {
-                    trace::emit_complete("runner.synth", "runner", sy0,
-                                         trace::now_ns() - sy0, "scenario",
-                                         i, "layer", l);
-                }
-            }
-            auto evals = evaluate_layer_range(scenarios[i], preps[i],
-                                              seeds[i], local_begin,
-                                              local_end);
-            const std::int64_t chunk_nanos =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - s0).count();
-            eval_nanos[i].fetch_add(chunk_nanos,
-                                    std::memory_order_relaxed);
-            runner_metrics().chunk_ns.record(
-                static_cast<std::uint64_t>(chunk_nanos));
-            if (tr0 != 0) {
-                trace::emit_complete("runner.chunk", "runner", tr0,
-                                     trace::now_ns() - tr0, "scenario", i,
-                                     "layers", local_end - local_begin);
-            }
-            auto &slot = layer_results[i];
-            for (std::size_t k = 0; k < evals.size(); ++k) {
-                slot[local_begin + k] = std::move(evals[k]);
+            if (!slots[i].failed.load(std::memory_order_relaxed)) {
+                run_units_retrying(i, local_begin, local_end);
             }
             begin = units.offsets[i] + local_end;
         }
@@ -238,10 +306,12 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     std::vector<ScenarioResult> results(n);
     int chunk_count = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        results[i] = finalize_scenario(scenarios[i], preps[i], seeds[i],
-                                       std::move(layer_results[i]));
+        if (!slots[i].error) {
+            results[i] = finalize_scenario(scenarios[i], preps[i], seeds[i],
+                                           std::move(layer_results[i]));
+        }
         results[i].wall_seconds = static_cast<double>(
-            eval_nanos[i].load(std::memory_order_relaxed)) * 1e-9;
+            slots[i].nanos.load(std::memory_order_relaxed)) * 1e-9;
         chunk_count += static_cast<int>(
             (preps[i].layers.size() + grain - 1) / grain);
     }
@@ -261,10 +331,23 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
         report->shards = chunk_count;
         report->chunks = sched.chunks;
         report->steals = sched.steals;
+        report->retries = retries.load(std::memory_order_relaxed);
         report->wall_seconds = wall_seconds;
         report->scenario_seconds_sum = 0.0;
         for (const auto &r : results) {
             report->scenario_seconds_sum += r.wall_seconds;
+        }
+    }
+    if (errors != nullptr) {
+        errors->assign(n, nullptr);
+        for (std::size_t i = 0; i < n; ++i) {
+            (*errors)[i] = slots[i].error;
+        }
+    } else {
+        for (const ScenarioSlot &slot : slots) {
+            if (slot.error) {
+                std::rethrow_exception(slot.error);
+            }
         }
     }
     return results;

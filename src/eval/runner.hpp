@@ -23,11 +23,19 @@
  * bit-identical to a 1-thread run, under any steal order (modulo the
  * `wall_seconds` diagnostics). The adversarial-scheduler tests pin this
  * with forced steals (`RunnerOptions::chaos_seed`).
+ *
+ * Faults stay local for the same reason. A transient FaultError re-runs
+ * its per-scenario sub-range in place (`RunnerOptions::retry`), and the
+ * re-run is bit-identical: a layer whose synthesis threw is pending
+ * again, and evaluation reads only its own streams. Any other error, or
+ * a transient whose attempts ran out, fails only its own scenario; the
+ * rest of the batch completes. Only cancellation aborts the batch.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <stdexcept>
 #include <vector>
 
@@ -46,6 +54,25 @@ class BatchCancelled : public std::runtime_error
 {
   public:
     BatchCancelled() : std::runtime_error("evaluation batch cancelled") {}
+};
+
+/**
+ * How transient faults are retried. Only kTransient FaultErrors retry;
+ * the delay before each further attempt grows exponentially up to a
+ * cap and is scaled by a jitter factor in [0.5, 1.0] drawn from
+ * (key, attempt) — the same work always waits the same time, distinct
+ * work decorrelates.
+ */
+struct RetryPolicy
+{
+    int max_attempts = 3;  ///< Total attempts including the first.
+    double backoff_seconds = 0.01;      ///< Base delay before attempt 2.
+    double backoff_multiplier = 2.0;    ///< Growth per further attempt.
+    double max_backoff_seconds = 1.0;   ///< Cap on the un-jittered delay.
+
+    /// Delay before attempt @p attempt (2 = first retry) of the work
+    /// identified by @p key.
+    double delay_seconds(std::uint64_t key, int attempt) const;
 };
 
 /// Runner knobs.
@@ -80,6 +107,9 @@ struct RunnerOptions
      * per batch to implement request deadlines and client cancels.
      */
     const std::atomic<bool> *cancel = nullptr;
+    /// In-place retry of transiently failed units (see the file
+    /// comment).
+    RetryPolicy retry;
 };
 
 /// Aggregate diagnostics of one run() call.
@@ -90,6 +120,7 @@ struct RunnerReport
     std::int64_t chunks = 0;   ///< Executed body chunks (scheduler view:
                                ///< includes split-on-steal fragments).
     std::int64_t steals = 0;   ///< Cross-worker steals.
+    std::int64_t retries = 0;  ///< Transient unit faults re-run in place.
     double wall_seconds = 0.0;          ///< End-to-end batch wall time.
     double scenario_seconds_sum = 0.0;  ///< Sum of per-scenario costs
                                         ///< (synthesis + evaluation).
@@ -126,11 +157,17 @@ class ScenarioRunner
      * where the batcher placed it. @p seeds must match @p scenarios in
      * size. Safe to call from multiple service dispatcher threads at
      * once — the runner holds no mutable state across calls.
+     *
+     * @p errors, when non-null, receives one entry per scenario: null
+     * for a result, the failure otherwise (that scenario's result is
+     * left default). When null, run()/run_seeded() rethrow the failure
+     * of the lowest-index failed scenario once the batch has finished.
      */
     std::vector<ScenarioResult> run_seeded(
         const std::vector<Scenario> &scenarios,
         const std::vector<std::uint64_t> &seeds,
-        RunnerReport *report = nullptr) const;
+        RunnerReport *report = nullptr,
+        std::vector<std::exception_ptr> *errors = nullptr) const;
 
     /// Threads run() will use for @p work_items parallel work items.
     int effective_threads(std::size_t work_items) const;

@@ -44,20 +44,22 @@
  *    lands in kFailed, result() rethrows the payload, error_kind()
  *    reports the taxonomy.
  *
- *  - **Retry.** kTransient failures re-enter the queue with exponential
- *    backoff and deterministically seeded jitter, up to
- *    RetryPolicy::max_attempts; nothing else is retried.
+ *  - **Retry in place.** A kTransient failure retries where it
+ *    happened, with deterministic exponential backoff, up to
+ *    `runner.retry.max_attempts`: the runner re-runs the faulted unit,
+ *    and the batch re-runs only for a failure that is batch-wide (a
+ *    dispatch fault, a watchdog cancel). Nothing else is retried.
  *
- *  - **Poison-batch bisection.** A throwing batch is split and re-run
- *    to isolate the bad job, so coalesced innocent siblings complete
- *    normally instead of sharing the failure.
+ *  - **Fail alone.** Any other failure fails only its own job: the
+ *    runner reports an error per scenario, so coalesced innocent
+ *    siblings complete normally in the same batch.
  *
  *  - **Quarantine.** A fingerprint that failed terminally is
  *    quarantined for a TTL: identical resubmissions fail fast with the
  *    recorded error instead of burning the pool again.
  *
  *  - **Watchdog.** Batches exceeding a stall budget are cancelled via
- *    the cooperative flag and their jobs retried as transient.
+ *    the cooperative flag and retried in place as transient.
  *
  *  - **Health.** stats().health summarises the recent attempt window
  *    (kHealthy/kDegraded/kFailing); a failing service degrades
@@ -69,7 +71,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -92,21 +93,6 @@ enum class BackpressurePolicy
     kReject,     ///< The new request completes immediately as kRejected.
     kShedOldest, ///< The oldest queued request completes as kShed and
                  ///< the new one is admitted.
-};
-
-/**
- * How failed evaluations are retried. Only kTransient failures retry;
- * backoff grows exponentially per attempt, scaled by a jitter factor in
- * [0.5, 1.0] drawn deterministically from (jitter_seed, fingerprint,
- * attempt) — reproducible storms, decorrelated thundering herds.
- */
-struct RetryPolicy
-{
-    int max_attempts = 3;  ///< Total attempts including the first.
-    double backoff_seconds = 0.01;      ///< Base delay before attempt 2.
-    double backoff_multiplier = 2.0;    ///< Growth per further attempt.
-    double max_backoff_seconds = 1.0;   ///< Cap on the un-jittered delay.
-    std::uint64_t jitter_seed = 0x5eedULL;
 };
 
 /// Service health, derived from the recent evaluation-attempt window.
@@ -144,22 +130,19 @@ struct ServiceOptions
      */
     double linger_seconds = 0.002;
     /// Evaluation core configuration (threads, grain, scheduler,
-    /// chaos_seed). The per-batch cancel flag is service-managed; any
-    /// `cancel` pointer set here is ignored.
+    /// chaos_seed, and the retry policy for kTransient failures, which
+    /// also governs batch-wide and admission retries). The per-batch
+    /// cancel flag is service-managed; any `cancel` pointer set here is
+    /// ignored.
     eval::RunnerOptions runner;
-    /// Default retry policy for kTransient failures. Overridable per
-    /// request and via BITWAVE_RETRY_ATTEMPTS (max_attempts only).
-    RetryPolicy retry;
     /**
      * Watchdog stall budget: a batch evaluating longer than this is
-     * cancelled through the cooperative flag and its jobs retried as
-     * transient. <= 0 disables the watchdog (default). Env override:
-     * BITWAVE_STALL_BUDGET_MS.
+     * cancelled through the cooperative flag and retried in place as
+     * transient. <= 0 disables the watchdog (default).
      */
     double stall_budget_seconds = 0.0;
     /// How long a terminally failed fingerprint stays quarantined
-    /// (identical resubmissions fail fast). Env override:
-    /// BITWAVE_QUARANTINE_TTL_MS.
+    /// (identical resubmissions fail fast).
     double quarantine_ttl_seconds = 30.0;
 };
 
@@ -176,8 +159,6 @@ struct SubmitOptions
      * overflowing the clock.
      */
     double deadline_seconds = 0.0;
-    /// Per-request retry override; unset uses ServiceOptions::retry.
-    std::optional<RetryPolicy> retry;
 };
 
 /// Lifecycle of one submitted request.
@@ -281,8 +262,9 @@ struct ServiceStats
     std::uint64_t batched_jobs = 0;   ///< Jobs evaluated across them.
     std::uint64_t steals = 0;         ///< Work-steal events (aggregate).
     std::uint64_t chunks = 0;         ///< Executed chunks (aggregate).
-    std::uint64_t retries = 0;        ///< Transient failures requeued.
-    std::uint64_t bisections = 0;     ///< Poison-batch splits performed.
+    /// Transient failures retried in place: runner unit retries plus
+    /// batch-wide retries plus admission (queue push) retries.
+    std::uint64_t retries = 0;
     std::uint64_t quarantined = 0;    ///< Fingerprints quarantined.
     std::uint64_t quarantine_hits = 0;  ///< Submissions failed fast by
                                         ///< an active quarantine entry.

@@ -35,6 +35,7 @@
 #include "sim/bce.hpp"
 #include "sim/sram.hpp"
 #include "sim/zcip.hpp"
+#include "tensor/bitplane.hpp"
 
 namespace bitwave {
 

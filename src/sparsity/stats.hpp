@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "common/bits.hpp"  // Representation lives with the bit utilities
-#include "tensor/bitplane.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bitwave {
@@ -45,18 +44,8 @@ struct SparsityStats
  * Compute sparsity statistics over all elements of @p tensor without
  * packing bit planes: one pass fills a 256-bin byte histogram, and zero
  * words and the 2C/SM zero-bit counts fold out of the 256 bins (each
- * bin's count times that value's zero bits). Exact integer counts,
- * bit-identical to the plane overload below.
+ * bin's count times that value's zero bits). Exact integer counts.
  */
 SparsityStats compute_sparsity(const Int8Tensor &tensor);
-
-/**
- * Word-parallel sparsity statistics from pre-packed bit planes of the
- * SAME tensor in both representations: zero words fall out of an OR
- * across planes, zero bits out of plane popcounts. Bit-identical to
- * compute_sparsity() on the source tensor.
- */
-SparsityStats compute_sparsity(const BitPlanes &planes_2c,
-                               const BitPlanes &planes_sm);
 
 }  // namespace bitwave

@@ -216,22 +216,6 @@ TEST(BitPlanes, ColumnCycleStatsMatchesScalar)
     }
 }
 
-TEST(BitPlanes, ComputeSparsityFromPlanesMatchesScalar)
-{
-    for (const std::int64_t n : {1LL, 64LL, 999LL, 5000LL}) {
-        const Int8Tensor t = random_tensor(n, 71 + n, 0.25);
-        const auto scalar = compute_sparsity(t);
-        const auto packed = compute_sparsity(
-            pack_bitplanes(t, Representation::kTwosComplement),
-            pack_bitplanes(t, Representation::kSignMagnitude));
-        EXPECT_EQ(packed.words, scalar.words);
-        EXPECT_EQ(packed.zero_words, scalar.zero_words);
-        EXPECT_EQ(packed.bits, scalar.bits);
-        EXPECT_EQ(packed.zero_bits_2c, scalar.zero_bits_2c);
-        EXPECT_EQ(packed.zero_bits_sm, scalar.zero_bits_sm);
-    }
-}
-
 // ------------------------------------------------------- shared cache ---
 
 TEST(BitPlanes, SharedPlanesHitTheContentCache)

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "bitflip/bitflip.hpp"
+#include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "energy/pricing.hpp"
@@ -373,6 +374,116 @@ TEST(ScenarioRunner, ReportsConsistentDiagnostics)
     // 7 scenarios x 3 layers at grain 1.
     EXPECT_EQ(report.shards, 21);
     EXPECT_GE(report.steals, 1) << "adversarial run must actually steal";
+}
+
+// ------------------------------------------------------ runner faults ---
+
+/// Arms a fault spec for one test and disarms it on every exit path.
+class FaultGuard
+{
+  public:
+    FaultGuard(const std::string &spec, std::uint64_t seed)
+    {
+        fault::configure(spec, seed);
+    }
+    ~FaultGuard() { fault::reset(); }
+    FaultGuard(const FaultGuard &) = delete;
+    FaultGuard &operator=(const FaultGuard &) = delete;
+};
+
+void
+expect_identical(const eval::ScenarioResult &got,
+                 const eval::ScenarioResult &want)
+{
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.rng_seed, want.rng_seed);
+    EXPECT_EQ(got.total_cycles, want.total_cycles) << want.name;
+    EXPECT_EQ(got.energy.total_pj, want.energy.total_pj) << want.name;
+    ASSERT_EQ(got.layers.size(), want.layers.size()) << want.name;
+    for (std::size_t l = 0; l < want.layers.size(); ++l) {
+        EXPECT_EQ(got.layers[l].total_cycles, want.layers[l].total_cycles);
+        EXPECT_EQ(got.layers[l].energy.total_pj,
+                  want.layers[l].energy.total_pj);
+    }
+}
+
+TEST(ScenarioRunner, TransientUnitFaultsRetryInPlaceBitIdentically)
+{
+    // A fifth of all unit attempts throw a transient fault. Each one
+    // re-runs its sub-range in place, so the batch completes and every
+    // result matches the fault-free run bit for bit, under any steal
+    // order; the report counts exactly the transients thrown.
+    const auto scenarios = determinism_batch();
+    eval::RunnerOptions serial;
+    serial.threads = 1;
+    const auto golden = eval::ScenarioRunner(serial).run(scenarios);
+
+    for (const std::uint64_t seed : {1ull, 99ull}) {
+        eval::RunnerOptions chaotic;
+        chaotic.threads = 4;
+        chaotic.shard_layers = 1;
+        chaotic.chaos_seed = seed;
+        chaotic.retry.max_attempts = 20;
+        chaotic.retry.backoff_seconds = 0.0;
+        FaultGuard storm("runner.chunk=0.2:transient", seed);
+        const std::uint64_t before = fault::stats().transients;
+        eval::RunnerReport report;
+        const auto got =
+            eval::ScenarioRunner(chaotic).run(scenarios, &report);
+        const std::uint64_t thrown = fault::stats().transients - before;
+        EXPECT_GT(thrown, 0u) << "storm never fired";
+        EXPECT_EQ(static_cast<std::uint64_t>(report.retries), thrown);
+        ASSERT_EQ(got.size(), golden.size());
+        for (std::size_t i = 0; i < golden.size(); ++i) {
+            expect_identical(got[i], golden[i]);
+        }
+    }
+}
+
+TEST(ScenarioRunner, NonTransientFaultFailsOnlyItsScenario)
+{
+    auto scenarios = determinism_batch();
+    const std::size_t bad = 2;
+    scenarios[bad].label = "bad";
+    const auto golden = eval::ScenarioRunner().run(scenarios);
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        seeds.push_back(eval::scenario_rng_seed(scenarios[i], i));
+    }
+
+    FaultGuard guard("runner.chunk@bad=1:error", 5);
+    eval::RunnerOptions options;
+    options.threads = 4;
+    options.shard_layers = 1;
+    const eval::ScenarioRunner runner(options);
+    std::vector<std::exception_ptr> errors;
+    eval::RunnerReport report;
+    const auto got = runner.run_seeded(scenarios, seeds, &report, &errors);
+    EXPECT_EQ(report.retries, 0);  // a non-transient never retries
+    ASSERT_EQ(errors.size(), scenarios.size());
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        if (i == bad) {
+            ASSERT_TRUE(errors[i]);
+            continue;
+        }
+        EXPECT_FALSE(errors[i]) << golden[i].name;
+        expect_identical(got[i], golden[i]);
+    }
+    try {
+        std::rethrow_exception(errors[bad]);
+    } catch (const FaultError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kInternal);
+    }
+
+    // Without an error sink, run() rethrows that scenario's failure
+    // once the batch has finished.
+    try {
+        runner.run(scenarios);
+        ADD_FAILURE() << "run() swallowed the failed scenario";
+    } catch (const FaultError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kInternal);
+        EXPECT_STREQ(e.what(), "injected error fault at runner.chunk");
+    }
 }
 
 std::uint64_t
