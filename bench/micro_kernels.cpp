@@ -11,13 +11,15 @@
  * parallel on a warm batch plus `fault_branch` / `metrics_record` rows
  * measuring the cost of a disarmed fault point and a disarmed gated
  * histogram record (the robustness and observability layers'
- * zero-overhead claims). Emits BENCH_micro_kernels.json; CI validates
- * the JSON and
- * the equivalence flags like the other bench reports.
+ * zero-overhead claims), and an `rng_draw` row timing std::mt19937_64
+ * against Rng::next_u64 on the same stream. Emits
+ * BENCH_micro_kernels.json; CI validates the JSON and the equivalence
+ * flags like the other bench reports.
  */
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -362,6 +364,48 @@ main()
         json.param("metrics_disarmed_ns_per_record",
                    (pointed_ms - bare_ms) * 1e6 /
                        static_cast<double>(kIters));
+    }
+
+    // ------------------------------------------------------- rng draw ---
+    // One raw 64-bit word: "scalar" is std::mt19937_64, whose twist
+    // branches on each word's low bit, "packed" Rng::next_u64, the same
+    // stream from a branch-free block twist. `identical` compares the
+    // two streams word for word over the first million draws and by sum
+    // over the timed ones.
+    {
+        constexpr std::uint64_t kSeed = 0xBEEF;
+        constexpr std::size_t kDraws = 20'000'000;
+        bool identical = true;
+        {
+            std::mt19937_64 engine(kSeed);
+            Rng ours(kSeed);
+            for (std::size_t i = 0; identical && i < 1'000'000; ++i) {
+                identical = engine() == ours.next_u64();
+            }
+        }
+        std::uint64_t std_sum = 0, rng_sum = 0;
+        const double std_ms = time_ms([&] {
+            std::mt19937_64 engine(kSeed);
+            std::uint64_t sum = 0;
+            for (std::size_t i = 0; i < kDraws; ++i) {
+                sum += engine();
+            }
+            std_sum = sum;
+        });
+        const double rng_ms = time_ms([&] {
+            Rng ours(kSeed);
+            std::uint64_t sum = 0;
+            for (std::size_t i = 0; i < kDraws; ++i) {
+                sum += ours.next_u64();
+            }
+            rng_sum = sum;
+        });
+        report(json, table, "rng_draw", std_ms, rng_ms,
+               identical && std_sum == rng_sum);
+        json.param("rng_draw_std_ns",
+                   std_ms * 1e6 / static_cast<double>(kDraws));
+        json.param("rng_draw_ns",
+                   rng_ms * 1e6 / static_cast<double>(kDraws));
     }
 
     std::printf("%s", table.render().c_str());

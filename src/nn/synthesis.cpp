@@ -60,7 +60,7 @@ synthesize_weights(const LayerDesc &desc, const WeightProfile &profile,
     // function of (shape, profile, rng state) — independent of how many
     // workers run the chunks — and cold-start synthesis of one huge
     // layer is no longer a single monolithic task.
-    const std::uint64_t base = rng.engine()();
+    const std::uint64_t base = rng.next_u64();
     const std::int64_t chunk_kernels = std::max<std::int64_t>(
         1, kSynthesisChunkElements / std::max<std::int64_t>(per_kernel, 1));
     const std::int64_t chunks = ceil_div(std::max<std::int64_t>(kernels, 1),

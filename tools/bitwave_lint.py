@@ -7,7 +7,11 @@ Enforces the handful of repo-specific contracts that generic tools
   determinism       No ambient randomness or wall-clock reads on
                     result-affecting paths under src/.  Seeded RNG lives
                     in common/rng.hpp; the trace/metrics clocks are the
-                    swappable timing seams.
+                    swappable timing seams.  <random>'s engines and
+                    distributions are banned everywhere under src/,
+                    the RNG seam included: their streams are
+                    implementation-defined, so a libc++ build would
+                    synthesize other networks.
   memory-order      Every std::atomic load/store/RMW in src/common/ and
                     src/service/ spells an explicit std::memory_order
                     argument (the worksteal protocol's documented-
@@ -66,6 +70,12 @@ RNG_PATTERNS = [
     (re.compile(r"(?<![\w.])srand\s*\("), "srand()"),
     (re.compile(r"(?<![\w.:])rand\s*\("), "rand()"),
     (re.compile(r"std::random_device"), "std::random_device"),
+]
+# No seam exemption: common/rng.hpp writes its engine out in full.
+STD_RNG_PATTERNS = [
+    (re.compile(r"#\s*include\s*<random>"), "#include <random>"),
+    (re.compile(r"std::mt19937\w*"), "std::mt19937*"),
+    (re.compile(r"std::\w+_distribution\b"), "std::*_distribution"),
 ]
 CLOCK_PATTERNS = [
     (re.compile(r"std::time\s*\("), "std::time()"),
@@ -180,7 +190,7 @@ class Finding:
 
 
 def check_determinism(rel, stripped, findings):
-    patterns = []
+    patterns = list(STD_RNG_PATTERNS)
     if rel not in RNG_SEAMS:
         patterns += RNG_PATTERNS
     if rel not in CLOCK_SEAMS:

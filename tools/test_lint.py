@@ -21,6 +21,13 @@ EXPECTED = {
     ("src/common/bad_determinism.cpp", 9, "determinism"),
     ("src/common/bad_determinism.cpp", 10, "determinism"),
     ("src/common/bad_determinism.cpp", 11, "determinism"),
+    # <random> itself, its engines and its distributions:
+    ("src/common/bad_determinism.cpp", 4, "determinism"),
+    ("src/common/bad_sampler.cpp", 4, "determinism"),
+    ("src/common/bad_sampler.cpp", 9, "determinism"),
+    ("src/common/bad_sampler.cpp", 10, "determinism"),
+    ("src/common/bad_sampler.cpp", 11, "determinism"),
+    ("src/common/bad_sampler.cpp", 12, "determinism"),
     ("src/common/bad_memory_order.cpp", 9, "memory-order"),
     ("src/common/bad_memory_order.cpp", 10, "memory-order"),
     ("src/common/bad_memory_order.cpp", 11, "memory-order"),
