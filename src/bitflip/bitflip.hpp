@@ -57,8 +57,8 @@ GroupFlipResult bitflip_group_scalar(std::span<std::int8_t> group,
 
 /**
  * Exhaustive per-group variant: tries every subset of columns to clear
- * and keeps the minimum-distance one. Exponential in 8; used by the
- * ablation bench to bound how far the greedy heuristic is from optimal.
+ * and keeps the minimum-distance one. Exponential in 8; only the tests
+ * call it, to bound how far the greedy heuristic is from optimal.
  */
 GroupFlipResult bitflip_group_exhaustive(std::span<std::int8_t> group,
                                          int target_zero_columns);

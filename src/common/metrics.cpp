@@ -3,63 +3,47 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <new>
-#include <unordered_map>
 
 #include "common/annotations.hpp"
 #include "common/env.hpp"
-#include "common/hash.hpp"
 
 namespace bitwave::metrics {
 
 namespace {
 
-/// Lock-striped registry.  Each shard owns a mutex and three name →
-/// unique_ptr maps; metrics are never erased, so the pointers handed
-/// out by counter()/gauge()/histogram() stay valid for the process
-/// lifetime.  Leaked on purpose: worker threads may still bump
-/// metrics while static destructors run.
-struct Shard
+/// The registry: one mutex and three name-sorted maps.  Metrics are
+/// never erased, so the pointers handed out by counter()/gauge()/
+/// histogram() stay valid for the process lifetime.  Leaked on
+/// purpose: worker threads may still bump metrics while static
+/// destructors run.
+struct Registry
 {
     MutexCap mutex;
-    std::unordered_map<std::string, std::unique_ptr<Counter>>
+    std::map<std::string, std::unique_ptr<Counter>, std::less<>>
         counters GUARDED_BY(mutex);
-    std::unordered_map<std::string, std::unique_ptr<Gauge>>
+    std::map<std::string, std::unique_ptr<Gauge>, std::less<>>
         gauges GUARDED_BY(mutex);
-    std::unordered_map<std::string, std::unique_ptr<Histogram>>
+    std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
         histograms GUARDED_BY(mutex);
 };
 
-constexpr std::size_t kShards = 16;
-
-Shard *
-shards()
+Registry &
+registry()
 {
-    static Shard *const table = new Shard[kShards];
-    return table;
-}
-
-Shard &
-shard_for(std::string_view name)
-{
-    return shards()[fnv1a(name.data(), name.size()) & (kShards - 1)];
+    static Registry *const r = new Registry;
+    return *r;
 }
 
 template <typename T, typename Map>
 T &
-lookup(Map &map, std::string_view name, bool gated_histogram = true)
+lookup(Map &map, std::string_view name)
 {
-    const std::string key(name);
-    auto it = map.find(key);
+    auto it = map.find(name);
     if (it == map.end()) {
-        std::unique_ptr<T> fresh;
-        if constexpr (std::is_same_v<T, Histogram>) {
-            fresh = std::make_unique<T>(gated_histogram);
-        } else {
-            fresh = std::make_unique<T>();
-        }
-        it = map.emplace(key, std::move(fresh)).first;
+        it = map.emplace(std::string(name), std::make_unique<T>()).first;
     }
     return *it->second;
 }
@@ -208,59 +192,51 @@ Histogram::snapshot() const
 Counter &
 counter(std::string_view name)
 {
-    Shard &shard = shard_for(name);
-    MutexLock lock(shard.mutex);
-    return lookup<Counter>(shard.counters, name);
+    Registry &r = registry();
+    MutexLock lock(r.mutex);
+    return lookup<Counter>(r.counters, name);
 }
 
 Gauge &
 gauge(std::string_view name)
 {
-    Shard &shard = shard_for(name);
-    MutexLock lock(shard.mutex);
-    return lookup<Gauge>(shard.gauges, name);
+    Registry &r = registry();
+    MutexLock lock(r.mutex);
+    return lookup<Gauge>(r.gauges, name);
 }
 
 Histogram &
 histogram(std::string_view name)
 {
-    Shard &shard = shard_for(name);
-    MutexLock lock(shard.mutex);
-    return lookup<Histogram>(shard.histograms, name);
+    Registry &r = registry();
+    MutexLock lock(r.mutex);
+    return lookup<Histogram>(r.histograms, name);
 }
 
 std::uint64_t
 counter_value(std::string_view name)
 {
-    Shard &shard = shard_for(name);
-    MutexLock lock(shard.mutex);
-    const auto it = shard.counters.find(std::string(name));
-    return it == shard.counters.end() ? 0 : it->second->value();
+    Registry &r = registry();
+    MutexLock lock(r.mutex);
+    const auto it = r.counters.find(name);
+    return it == r.counters.end() ? 0 : it->second->value();
 }
 
 Snapshot
 snapshot()
 {
     Snapshot out;
-    for (std::size_t s = 0; s < kShards; ++s) {
-        Shard &shard = shards()[s];
-        MutexLock lock(shard.mutex);
-        for (const auto &[name, c] : shard.counters) {
-            out.counters.emplace_back(name, c->value());
-        }
-        for (const auto &[name, g] : shard.gauges) {
-            out.gauges.emplace_back(name, g->value());
-        }
-        for (const auto &[name, h] : shard.histograms) {
-            out.histograms.emplace_back(name, h->snapshot());
-        }
+    Registry &r = registry();
+    MutexLock lock(r.mutex);
+    for (const auto &[name, c] : r.counters) {
+        out.counters.emplace_back(name, c->value());
     }
-    const auto by_name = [](const auto &a, const auto &b) {
-        return a.first < b.first;
-    };
-    std::sort(out.counters.begin(), out.counters.end(), by_name);
-    std::sort(out.gauges.begin(), out.gauges.end(), by_name);
-    std::sort(out.histograms.begin(), out.histograms.end(), by_name);
+    for (const auto &[name, g] : r.gauges) {
+        out.gauges.emplace_back(name, g->value());
+    }
+    for (const auto &[name, h] : r.histograms) {
+        out.histograms.emplace_back(name, h->snapshot());
+    }
     return out;
 }
 
@@ -364,22 +340,20 @@ render_json(const Snapshot &snap)
 void
 zero_all_for_tests()
 {
-    for (std::size_t s = 0; s < kShards; ++s) {
-        Shard &shard = shards()[s];
-        MutexLock lock(shard.mutex);
-        for (auto &[name, c] : shard.counters) {
-            c->~Counter();
-            new (c.get()) Counter();
-        }
-        for (auto &[name, g] : shard.gauges) {
-            g->set(0);
-        }
-        for (auto &[name, h] : shard.histograms) {
-            // Registry histograms are always gated; rebuild in place
-            // to zero the atomics.
-            h->~Histogram();
-            new (h.get()) Histogram(true);
-        }
+    Registry &r = registry();
+    MutexLock lock(r.mutex);
+    for (auto &[name, c] : r.counters) {
+        c->~Counter();
+        new (c.get()) Counter();
+    }
+    for (auto &[name, g] : r.gauges) {
+        g->set(0);
+    }
+    for (auto &[name, h] : r.histograms) {
+        // Registry histograms are always gated; rebuild in place to
+        // zero the atomics.
+        h->~Histogram();
+        new (h.get()) Histogram(true);
     }
 }
 

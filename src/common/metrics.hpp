@@ -141,8 +141,8 @@ class Histogram
 };
 
 /// Look up (or register) a metric by dotted name.  The returned
-/// reference is valid forever; lookups take one shard mutex, so cache
-/// the reference on hot paths.
+/// reference is valid forever; lookups take the registry mutex, so
+/// cache the reference on hot paths.
 Counter &counter(std::string_view name);
 Gauge &gauge(std::string_view name);
 Histogram &histogram(std::string_view name);

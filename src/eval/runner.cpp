@@ -84,12 +84,19 @@ struct UnitSpace
 
 }  // namespace
 
+BatchStalled::BatchStalled(double budget_seconds)
+    : EvalError(ErrorKind::kTransient,
+                strprintf("evaluation batch exceeded its %.0f ms stall "
+                          "budget",
+                          budget_seconds * 1e3))
+{
+}
+
 double
 RetryPolicy::delay_seconds(std::uint64_t key, int attempt) const
 {
     const double base = std::min(
-        backoff_seconds *
-            std::pow(backoff_multiplier, std::max(attempt - 2, 0)),
+        backoff_seconds * std::pow(2.0, std::max(attempt - 2, 0)),
         max_backoff_seconds);
     const std::uint64_t draw =
         splitmix64(0x5eedULL ^ key ^ static_cast<std::uint64_t>(attempt));
@@ -132,9 +139,13 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
               seed_overrides.size(), n);
     }
     const std::atomic<bool> *cancel = options_.cancel;
-    const auto check_cancel = [cancel] {
+    const double stall_budget = options_.stall_budget_seconds;
+    const auto check_cancel = [cancel, stall_budget, t0] {
         if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
             throw BatchCancelled();
+        }
+        if (stall_budget > 0.0 && seconds_since(t0) > stall_budget) {
+            throw BatchStalled(stall_budget);
         }
     };
     check_cancel();
@@ -233,8 +244,8 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
 
     // run_units with the fault policy: a transient FaultError re-runs
     // the sub-range in place after a backoff; anything else (or a
-    // transient out of attempts) fails scenario i alone. Cancellation
-    // propagates and aborts the batch.
+    // transient out of attempts) fails scenario i alone. A cancel or a
+    // stall propagates and aborts the batch.
     const auto fail_scenario = [&](std::size_t i, std::exception_ptr error) {
         if (!slots[i].failed.exchange(true, std::memory_order_acq_rel)) {
             slots[i].error = std::move(error);
@@ -248,6 +259,8 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
                 run_units(i, local_begin, local_end);
                 return;
             } catch (const BatchCancelled &) {
+                throw;
+            } catch (const BatchStalled &) {
                 throw;
             } catch (const FaultError &e) {
                 if (e.kind() != ErrorKind::kTransient ||
@@ -272,9 +285,9 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     // One chunk [begin, end) of the unit space: run each per-scenario
     // sub-range whose scenario has not failed yet.
     const auto execute = [&](std::size_t begin, std::size_t end) {
-        // Cancellation polls once per chunk: the flag rides the
-        // scheduler's existing first-exception-wins abort protocol, so
-        // no worksteal-core changes are needed and the check works
+        // Cancel and stall budget poll once per chunk: the abort rides
+        // the scheduler's existing first-exception-wins protocol, so no
+        // worksteal-core changes are needed and the check works
         // identically on the inline single-thread path.
         check_cancel();
         std::size_t i = units.scenario_of(begin);

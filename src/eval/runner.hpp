@@ -29,7 +29,8 @@
  * re-run is bit-identical: a layer whose synthesis threw is pending
  * again, and evaluation reads only its own streams. Any other error, or
  * a transient whose attempts ran out, fails only its own scenario; the
- * rest of the batch completes. Only cancellation aborts the batch.
+ * rest of the batch completes. Only cancellation and an exceeded stall
+ * budget abort the batch.
  */
 #pragma once
 
@@ -40,6 +41,7 @@
 #include <vector>
 
 #include "eval/engine.hpp"
+#include "eval/error.hpp"
 #include "eval/scenario.hpp"
 
 namespace bitwave::eval {
@@ -57,17 +59,28 @@ class BatchCancelled : public std::runtime_error
 };
 
 /**
+ * Thrown out of run()/run_seeded() when the batch outruns
+ * `RunnerOptions::stall_budget_seconds`: like a cancel, the batch
+ * aborts at the next chunk boundary and partial results are discarded.
+ * Its kind is kTransient, so the caller may re-run the whole batch; the
+ * runner never retries it per unit.
+ */
+class BatchStalled : public EvalError
+{
+  public:
+    explicit BatchStalled(double budget_seconds);
+};
+
+/**
  * How transient faults are retried. Only kTransient FaultErrors retry;
- * the delay before each further attempt grows exponentially up to a
- * cap and is scaled by a jitter factor in [0.5, 1.0] drawn from
- * (key, attempt) — the same work always waits the same time, distinct
- * work decorrelates.
+ * the delay before each further attempt doubles up to a cap and is
+ * scaled by a jitter factor in [0.5, 1.0] drawn from (key, attempt) —
+ * the same work always waits the same time, distinct work decorrelates.
  */
 struct RetryPolicy
 {
     int max_attempts = 3;  ///< Total attempts including the first.
     double backoff_seconds = 0.01;      ///< Base delay before attempt 2.
-    double backoff_multiplier = 2.0;    ///< Growth per further attempt.
     double max_backoff_seconds = 1.0;   ///< Cap on the un-jittered delay.
 
     /// Delay before attempt @p attempt (2 = first retry) of the work
@@ -99,14 +112,21 @@ struct RunnerOptions
      */
     std::uint64_t chaos_seed = 0;
     /**
-     * Cooperative batch-abort flag, polled at batch start and at chunk
-     * boundaries. When the pointed-to flag becomes
-     * true, the batch stops issuing work and run() throws
+     * Cooperative batch-abort flag, polled at batch start, at chunk
+     * boundaries and after every retry backoff. When the pointed-to
+     * flag becomes true, the batch stops issuing work and run() throws
      * BatchCancelled. The flag must outlive the run() call; nullptr
      * (default) disables cancellation. The evaluation service sets this
-     * per batch to implement request deadlines and client cancels.
+     * per batch to implement client cancels and shutdown(kAbort).
      */
     const std::atomic<bool> *cancel = nullptr;
+    /**
+     * Stall budget of one run() call, checked where `cancel` is polled:
+     * a batch still running after this many seconds stops issuing work
+     * and run() throws BatchStalled. <= 0 disables it (default) and
+     * reads no clock.
+     */
+    double stall_budget_seconds = 0.0;
     /// In-place retry of transiently failed units (see the file
     /// comment).
     RetryPolicy retry;

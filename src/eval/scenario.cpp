@@ -370,23 +370,4 @@ alias_weight_override(const Scenario &scenario, const Workload &workload)
     return out;
 }
 
-std::vector<std::shared_ptr<const Int8Tensor>>
-prepare_weights(const Scenario &scenario, const Workload &workload,
-                const std::vector<std::size_t> *selection)
-{
-    if (scenario.weight_override) {
-        return alias_weight_override(scenario, workload);
-    }
-    std::vector<std::shared_ptr<const Int8Tensor>> out(
-        workload.layers.size());
-    for (std::size_t i :
-         selected_bitflip_layers(workload, scenario.bitflip, selection)) {
-        out[i] = cached_bitflip(workload.layers[i].weights,
-                                workload.layers[i].weights_hash,
-                                scenario.bitflip.group_size,
-                                scenario.bitflip.zero_columns);
-    }
-    return out;
-}
-
 }  // namespace bitwave::eval

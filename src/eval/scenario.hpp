@@ -197,16 +197,4 @@ std::vector<std::shared_ptr<const Int8Tensor>>
 cached_flip_heavy_layers(const Workload &w, double weight_share, int group,
                          int zero_cols);
 
-/**
- * Weights a scenario evaluates, one entry per workload layer: the
- * explicit override, Bit-Flipped tensors per the spec (shared through
- * the process-wide preparation cache), or null entries meaning "use the
- * workload's own weights" with no copy made. When @p selection is
- * non-null, only the listed layer indices are prepared — filtered
- * scenarios never pay for flipping layers they skip.
- */
-std::vector<std::shared_ptr<const Int8Tensor>>
-prepare_weights(const Scenario &scenario, const Workload &workload,
-                const std::vector<std::size_t> *selection = nullptr);
-
 }  // namespace bitwave::eval

@@ -10,7 +10,7 @@
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
+#include "common/worksteal.hpp"
 #include "nn/synthesis.hpp"
 #include "nn/workload_io.hpp"
 
@@ -397,8 +397,8 @@ PendingWorkload::complete()
     if (!complete_.load(std::memory_order_acquire)) {
         // The last layer turns ready only after finish() has run, so
         // once every layer is ready the network is complete.
-        parallel_for(workload_.layers.size(),
-                     [&](std::size_t i) { materialize(i); });
+        worksteal_for(workload_.layers.size(),
+                      [&](std::size_t i) { materialize(i); });
     }
     return workload_;
 }

@@ -91,7 +91,7 @@ class PendingWorkload
     /// waits. Returns true when this call synthesized it.
     bool try_materialize(std::size_t i);
 
-    /// Materialize every missing layer in a parallel_for and return the
+    /// Materialize every missing layer in a worksteal_for and return the
     /// complete network.
     const Workload &complete();
 

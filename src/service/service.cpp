@@ -43,18 +43,12 @@ struct TicketState
 
 /// Cooperative abort shared by the jobs of one runner batch: live_jobs
 /// counts jobs that still have subscribers; when the last one detaches,
-/// `cancel` flips and the runner aborts at its next chunk boundary. The
-/// watchdog flips the same flag when the batch outruns its stall budget
-/// (and marks watchdog_fired so the abort classifies as transient).
+/// `cancel` flips and the runner aborts at its next chunk boundary.
+/// shutdown(kAbort) flips the same flag on every evaluating batch.
 struct BatchControl
 {
     std::atomic<bool> cancel{false};
     std::atomic<int> live_jobs{0};
-    std::atomic<bool> watchdog_fired{false};
-    /// Published by `running` (release/acquire): the watchdog only reads
-    /// `started` after observing running == true.
-    Clock::time_point started;
-    std::atomic<bool> running{false};
 };
 
 /// One deduplicated evaluation: the unit the queue and batcher move.
@@ -87,6 +81,23 @@ struct QuarantineEntry
     Clock::time_point expires;
     std::exception_ptr error;
     ErrorKind kind = ErrorKind::kInternal;
+};
+
+/// One runner batch as it moves through process_batch()'s steps: the
+/// jobs gather_batch() popped (only the live ones after bind_batch()),
+/// and the outcome of evaluate_batch().
+struct Batch
+{
+    std::vector<std::shared_ptr<Job>> jobs;
+    BatchControl control;
+    std::vector<eval::ScenarioResult> results;
+    std::vector<std::exception_ptr> errors;  ///< Per job, from the runner.
+    eval::RunnerReport report;
+    std::exception_ptr error;  ///< Batch-wide failure of the last attempt.
+    bool cancelled = false;
+    int attempts = 0;
+    std::uint64_t eval_start_ns = 0;  ///< Trace-clock evaluation window.
+    std::uint64_t eval_end_ns = 0;
 };
 
 /// Per-instance counter that mirrors every bump into a process-wide
@@ -161,15 +172,10 @@ struct ServiceShared
     /// abandoned, so a hit is always attachable.
     std::unordered_map<std::uint64_t, std::shared_ptr<Job>>
         in_flight GUARDED_BY(jobs_mutex);
+    /// Evaluating batches, for shutdown(kAbort) to cancel.
     std::vector<BatchControl *> active_batches GUARDED_BY(jobs_mutex);
     std::unordered_map<std::uint64_t, QuarantineEntry>
         quarantine GUARDED_BY(jobs_mutex);
-
-    /// Watchdog parking: the thread sleeps on the cv and wakes to scan
-    /// active_batches; shutdown sets stop and notifies.
-    MutexCap watchdog_mutex;
-    CondVarCap watchdog_cv;
-    bool watchdog_stop GUARDED_BY(watchdog_mutex) = false;
 
     /// Sliding window of the last <= 32 evaluation-attempt outcomes
     /// (bit = failure), the input to the health state.
@@ -536,9 +542,6 @@ EvalService::EvalService(ServiceOptions options)
     for (int i = 0; i < options_.dispatchers; ++i) {
         dispatchers_.emplace_back([this] { dispatcher_loop(); });
     }
-    if (options_.stall_budget_seconds > 0.0) {
-        watchdog_ = std::thread([this] { watchdog_loop(); });
-    }
 }
 
 EvalService::~EvalService()
@@ -688,10 +691,23 @@ EvalService::submit(const eval::Scenario &scenario,
 bool
 EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
 {
+    detail::Batch batch;
+    gather_batch(std::move(first), linger, batch);
+    if (!bind_batch(batch)) {
+        return false;
+    }
+    evaluate_batch(batch);
+    return complete_batch(batch);
+}
+
+void
+EvalService::gather_batch(std::shared_ptr<detail::Job> first, bool linger,
+                          detail::Batch &batch)
+{
     // Dynamic batching: gather whatever is queued right now, and — on
     // dispatcher threads only — linger once for company rather than
     // running a singleton batch into an idle worker pool.
-    std::vector<std::shared_ptr<detail::Job>> jobs;
+    auto &jobs = batch.jobs;
     first->pop_ns = trace::now_ns();
     jobs.push_back(std::move(first));
     bool lingered = false;
@@ -718,158 +734,148 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
         }
         break;
     }
+}
 
-    // Aborting shutdown: everything popped from here on completes as
-    // kShutdown, unevaluated.
-    if (shared_->abort.load(std::memory_order_relaxed)) {
-        MutexLock jobs_lock(shared_->jobs_mutex);
-        for (auto &job : jobs) {
-            MutexLock job_lock(job->mutex);
-            if (!job->done && !job->abandoned) {
-                detail::finish_job_locked(*shared_, *job,
-                                          TicketStatus::kShutdown, nullptr);
-            }
-        }
-        return false;
-    }
-
-    // Admission-to-dispatch pruning: drop subscribers whose deadline
+bool
+EvalService::bind_batch(detail::Batch &batch)
+{
+    // Under an aborting shutdown every gathered job completes as
+    // kShutdown, unevaluated. Otherwise drop subscribers whose deadline
     // already passed and jobs nobody subscribes to any more, then pin
-    // the survivors to this batch's cancel control.
-    detail::BatchControl control;
+    // the survivors to this batch's cancel control. The abort flag is
+    // read under jobs_mutex, so a batch registered here is one that
+    // shutdown(kAbort) will see and cancel.
     std::vector<std::shared_ptr<detail::Job>> live;
     const auto now = Clock::now();
-    {
-        MutexLock jobs_lock(shared_->jobs_mutex);
-        for (auto &job : jobs) {
-            MutexLock job_lock(job->mutex);
-            if (job->done || job->abandoned) {
-                continue;  // resolved while queued (cancel / shed race)
-            }
-            auto &subs = job->subscribers;
-            for (auto it = subs.begin(); it != subs.end();) {
-                if ((*it)->has_deadline && (*it)->deadline <= now) {
-                    detail::finish_ticket(*shared_, **it,
-                                          TicketStatus::kDeadlineExpired,
-                                          nullptr, nullptr);
-                    it = subs.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            if (subs.empty()) {
-                detail::finish_job_locked(*shared_, *job,
-                                          TicketStatus::kDeadlineExpired,
-                                          nullptr);
-                continue;
-            }
-            job->batch = &control;
-            for (auto &state : subs) {
-                MutexLock lock(state->mutex);
-                if (!ticket_status_terminal(state->status)) {
-                    state->status = TicketStatus::kRunning;
-                }
-            }
-            live.push_back(job);
+    MutexLock jobs_lock(shared_->jobs_mutex);
+    const bool aborting = shared_->abort.load(std::memory_order_relaxed);
+    for (auto &job : batch.jobs) {
+        MutexLock job_lock(job->mutex);
+        if (job->done || job->abandoned) {
+            continue;  // resolved while queued (cancel / shed race)
         }
-        control.live_jobs.store(static_cast<int>(live.size()),
-                                std::memory_order_relaxed);
-        if (!live.empty()) {
-            shared_->active_batches.push_back(&control);
+        if (aborting) {
+            detail::finish_job_locked(*shared_, *job,
+                                      TicketStatus::kShutdown, nullptr);
+            continue;
         }
+        auto &subs = job->subscribers;
+        for (auto it = subs.begin(); it != subs.end();) {
+            if ((*it)->has_deadline && (*it)->deadline <= now) {
+                detail::finish_ticket(*shared_, **it,
+                                      TicketStatus::kDeadlineExpired,
+                                      nullptr, nullptr);
+                it = subs.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        if (subs.empty()) {
+            detail::finish_job_locked(*shared_, *job,
+                                      TicketStatus::kDeadlineExpired,
+                                      nullptr);
+            continue;
+        }
+        job->batch = &batch.control;
+        for (auto &state : subs) {
+            MutexLock lock(state->mutex);
+            if (!ticket_status_terminal(state->status)) {
+                state->status = TicketStatus::kRunning;
+            }
+        }
+        live.push_back(job);
     }
-    if (live.empty()) {
+    batch.jobs = std::move(live);
+    if (batch.jobs.empty()) {
         return false;
     }
+    batch.control.live_jobs.store(static_cast<int>(batch.jobs.size()),
+                                  std::memory_order_relaxed);
+    shared_->active_batches.push_back(&batch.control);
+    return true;
+}
 
+void
+EvalService::evaluate_batch(detail::Batch &batch)
+{
     // One runner call evaluates the batch: the runner retries faulted
     // units in place and fails a scenario alone. What is still
-    // batch-wide — a transient at dispatch, a watchdog cancel — retries
-    // the whole call here with the same backoff.
+    // batch-wide — a transient at dispatch, an attempt that outran the
+    // runner's stall budget — retries the whole call here with the same
+    // backoff.
     std::vector<eval::Scenario> scenarios;
     std::vector<std::uint64_t> seeds;
-    scenarios.reserve(live.size());
-    seeds.reserve(live.size());
-    for (const auto &job : live) {
+    scenarios.reserve(batch.jobs.size());
+    seeds.reserve(batch.jobs.size());
+    for (const auto &job : batch.jobs) {
         scenarios.push_back(job->scenario);
         seeds.push_back(job->seed);
     }
     eval::RunnerOptions runner_options = options_.runner;
-    runner_options.cancel = &control.cancel;
+    runner_options.cancel = &batch.control.cancel;
     const eval::ScenarioRunner runner(runner_options);
     const eval::RetryPolicy &retry = options_.runner.retry;
-    std::vector<eval::ScenarioResult> results;
-    std::vector<std::exception_ptr> errors;
-    eval::RunnerReport report;
-    std::exception_ptr batch_error;
-    bool cancelled = false;
-    const std::uint64_t eval_start_ns = trace::now_ns();
-    int attempt = 1;
-    for (;; ++attempt) {
-        {
-            // The watchdog reads `started` and its verdict under
-            // jobs_mutex. A new attempt clears the verdict on the last
-            // one but keeps an abandoned or aborting batch cancelled.
-            MutexLock jobs_lock(shared_->jobs_mutex);
-            if (attempt > 1) {
-                control.watchdog_fired.store(false,
-                                             std::memory_order_relaxed);
-                control.cancel.store(
-                    control.live_jobs.load(std::memory_order_acquire) == 0 ||
-                        shared_->abort.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-            }
-            control.started = Clock::now();
-            control.running.store(true, std::memory_order_release);
-        }
-        batch_error = nullptr;
+    batch.eval_start_ns = trace::now_ns();
+    for (batch.attempts = 1;; ++batch.attempts) {
+        batch.error = nullptr;
         try {
             BITWAVE_FAULT_INJECT("service.dispatch");
-            results = runner.run_seeded(scenarios, seeds, &report, &errors);
+            batch.results = runner.run_seeded(scenarios, seeds,
+                                              &batch.report, &batch.errors);
         } catch (const eval::BatchCancelled &) {
-            if (control.watchdog_fired.load(std::memory_order_relaxed)) {
-                batch_error = std::make_exception_ptr(eval::EvalError(
-                    ErrorKind::kTransient,
-                    "batch cancelled by watchdog: stall budget exceeded"));
-            } else {
-                cancelled = true;
-            }
+            batch.cancelled = true;
+        } catch (const eval::BatchStalled &) {
+            batch.error = std::current_exception();
+            shared_->watchdog_cancels++;
+            trace::instant("service.watchdog_cancel", "service");
+            warn_once("service-watchdog",
+                      "a batch exceeded the %.0f ms stall budget and was "
+                      "aborted (retrying as transient)",
+                      options_.runner.stall_budget_seconds * 1e3);
         } catch (...) {
-            batch_error = std::current_exception();
+            batch.error = std::current_exception();
         }
-        control.running.store(false, std::memory_order_relaxed);
-        if (!batch_error ||
-            detail::classify(batch_error) != ErrorKind::kTransient ||
-            attempt >= retry.max_attempts ||
+        if (!batch.error ||
+            detail::classify(batch.error) != ErrorKind::kTransient ||
+            batch.attempts >= retry.max_attempts ||
             shared_->abort.load(std::memory_order_relaxed)) {
             break;
         }
         shared_->retries++;
         trace::instant("service.retry", "service", "jobs",
-                       static_cast<std::uint64_t>(live.size()), "attempt",
-                       static_cast<std::uint64_t>(attempt));
+                       static_cast<std::uint64_t>(batch.jobs.size()),
+                       "attempt",
+                       static_cast<std::uint64_t>(batch.attempts));
         std::this_thread::sleep_for(std::chrono::duration<double>(
-            retry.delay_seconds(live.front()->fingerprint, attempt + 1)));
+            retry.delay_seconds(batch.jobs.front()->fingerprint,
+                                batch.attempts + 1)));
     }
-    const std::uint64_t eval_end_ns = trace::now_ns();
+    batch.eval_end_ns = trace::now_ns();
     if (trace::enabled()) {
         trace::emit_complete(
-            "service.dispatch", "service", eval_start_ns,
-            eval_end_ns - eval_start_ns, "jobs",
-            static_cast<std::uint64_t>(live.size()), "chunks",
-            static_cast<std::uint64_t>(std::max<std::int64_t>(report.chunks,
-                                                              0)));
+            "service.dispatch", "service", batch.eval_start_ns,
+            batch.eval_end_ns - batch.eval_start_ns, "jobs",
+            static_cast<std::uint64_t>(batch.jobs.size()), "chunks",
+            static_cast<std::uint64_t>(
+                std::max<std::int64_t>(batch.report.chunks, 0)));
     }
+}
+
+bool
+EvalService::complete_batch(detail::Batch &batch)
+{
     const auto sub_sat = [](std::uint64_t a, std::uint64_t b) {
         return a > b ? a - b : 0;
     };
-
+    const std::uint64_t eval_start_ns = batch.eval_start_ns;
+    const std::uint64_t eval_end_ns = batch.eval_end_ns;
     bool any_done = false;
     {
         MutexLock jobs_lock(shared_->jobs_mutex);
         auto &batches = shared_->active_batches;
-        batches.erase(std::remove(batches.begin(), batches.end(), &control),
-                      batches.end());
+        batches.erase(
+            std::remove(batches.begin(), batches.end(), &batch.control),
+            batches.end());
         const bool aborting = shared_->abort.load(std::memory_order_relaxed);
         // Count the batch into the stats BEFORE finishing any job: a
         // submitter whose wait() returns must observe these counters
@@ -877,13 +883,15 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
         // mutex), so stats() read after a completion never lags it.
         // The report stays zero unless the runner call succeeded.
         std::uint64_t evaluated = 0;
-        for (std::size_t i = 0; i < live.size() && !cancelled; ++i) {
-            auto &job = *live[i];
+        for (std::size_t i = 0; i < batch.jobs.size() && !batch.cancelled;
+             ++i) {
+            auto &job = *batch.jobs[i];
             MutexLock job_lock(job.mutex);
             if (!job.done && !job.abandoned) {
                 evaluated++;
             }
         }
+        const eval::RunnerReport &report = batch.report;
         if (evaluated > 0) {
             shared_->batches++;
             shared_->batched_jobs += evaluated;
@@ -895,15 +903,15 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
         if (report.retries > 0) {
             shared_->retries += static_cast<std::uint64_t>(report.retries);
         }
-        for (std::size_t i = 0; i < live.size(); ++i) {
-            auto &job = *live[i];
+        for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
+            auto &job = *batch.jobs[i];
             MutexLock job_lock(job.mutex);
             job.batch = nullptr;
             if (job.done || job.abandoned) {
                 job.done = true;
                 continue;
             }
-            if (cancelled) {
+            if (batch.cancelled) {
                 // A cancelled batch with live subscribers only happens
                 // under shutdown(kAbort); organic cancellation implies
                 // every subscriber already detached.
@@ -933,16 +941,15 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                 trace::emit_complete("service.batch", "service", job.pop_ns,
                                      batch_ns, "fingerprint",
                                      job.fingerprint);
-                trace::emit_complete("service.compute", "service",
-                                     eval_start_ns, compute_ns,
-                                     "fingerprint", job.fingerprint,
-                                     "attempt",
-                                     static_cast<std::uint64_t>(attempt));
+                trace::emit_complete(
+                    "service.compute", "service", eval_start_ns, compute_ns,
+                    "fingerprint", job.fingerprint, "attempt",
+                    static_cast<std::uint64_t>(batch.attempts));
             }
             const std::exception_ptr error =
-                batch_error ? batch_error : errors[i];
+                batch.error ? batch.error : batch.errors[i];
             if (!error) {
-                job.result = std::move(results[i]);
+                job.result = std::move(batch.results[i]);
                 detail::finish_job_locked(*shared_, job, TicketStatus::kDone,
                                           nullptr);
                 detail::record_attempt(*shared_, true);
@@ -971,7 +978,7 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
     if (trace::enabled()) {
         trace::emit_complete("service.finalize", "service", eval_end_ns,
                              sub_sat(trace::now_ns(), eval_end_ns), "jobs",
-                             static_cast<std::uint64_t>(live.size()));
+                             static_cast<std::uint64_t>(batch.jobs.size()));
     }
     return any_done;
 }
@@ -1001,56 +1008,6 @@ EvalService::dispatcher_loop()
 }
 
 void
-EvalService::watchdog_loop()
-{
-    const auto budget = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(options_.stall_budget_seconds));
-    const auto poll = std::clamp(
-        budget / 4,
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::milliseconds(1)),
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::milliseconds(50)));
-    for (;;) {
-        {
-            const auto deadline = Clock::now() + poll;
-            MutexLock lock(shared_->watchdog_mutex);
-            while (!shared_->watchdog_stop) {
-                if (shared_->watchdog_cv.wait_until(
-                        shared_->watchdog_mutex, deadline) ==
-                    std::cv_status::timeout) {
-                    break;
-                }
-            }
-            if (shared_->watchdog_stop) {
-                return;
-            }
-        }
-        const auto now = Clock::now();
-        MutexLock jobs_lock(shared_->jobs_mutex);
-        for (detail::BatchControl *batch : shared_->active_batches) {
-            if (!batch->running.load(std::memory_order_acquire)) {
-                continue;
-            }
-            if (batch->watchdog_fired.load(std::memory_order_relaxed)) {
-                continue;
-            }
-            if (now - batch->started < budget) {
-                continue;
-            }
-            batch->watchdog_fired.store(true, std::memory_order_relaxed);
-            batch->cancel.store(true, std::memory_order_relaxed);
-            shared_->watchdog_cancels++;
-            trace::instant("service.watchdog_cancel", "service");
-            warn_once("service-watchdog",
-                      "watchdog cancelled a batch exceeding the %.0f ms "
-                      "stall budget (retrying as transient)",
-                      options_.stall_budget_seconds * 1e3);
-        }
-    }
-}
-
-void
 EvalService::shutdown(ShutdownMode mode)
 {
     if (mode == ShutdownMode::kAbort) {
@@ -1071,20 +1028,10 @@ EvalService::shutdown(ShutdownMode mode)
     // Resolve whatever is still queued: dispatchers==0 services, and
     // jobs admitted after the dispatchers drained. Under kAbort
     // process_batch completes them as kShutdown without evaluating.
-    // The watchdog stays alive until the drain finishes — a stalling
-    // final batch must still be reclaimed.
     std::shared_ptr<detail::Job> job;
     while (shared_->queue.try_pop(&job)) {
         process_batch(std::move(job), /*linger=*/false);
         job.reset();
-    }
-    {
-        MutexLock lock(shared_->watchdog_mutex);
-        shared_->watchdog_stop = true;
-    }
-    shared_->watchdog_cv.notify_all();
-    if (watchdog_.joinable()) {
-        watchdog_.join();
     }
 }
 

@@ -48,7 +48,7 @@
  *    happened, with deterministic exponential backoff, up to
  *    `runner.retry.max_attempts`: the runner re-runs the faulted unit,
  *    and the batch re-runs only for a failure that is batch-wide (a
- *    dispatch fault, a watchdog cancel). Nothing else is retried.
+ *    dispatch fault, a stalled batch). Nothing else is retried.
  *
  *  - **Fail alone.** Any other failure fails only its own job: the
  *    runner reports an error per scenario, so coalesced innocent
@@ -58,8 +58,11 @@
  *    quarantined for a TTL: identical resubmissions fail fast with the
  *    recorded error instead of burning the pool again.
  *
- *  - **Watchdog.** Batches exceeding a stall budget are cancelled via
- *    the cooperative flag and retried in place as transient.
+ *  - **Stall budget.** The runner checks `runner.stall_budget_seconds`
+ *    where it polls the cancel flag: an attempt that outruns it aborts
+ *    at the next chunk boundary with eval::BatchStalled and the batch
+ *    retries in place as transient. The service's only threads are
+ *    its dispatchers.
  *
  *  - **Health.** stats().health summarises the recent attempt window
  *    (kHealthy/kDegraded/kFailing); a failing service degrades
@@ -81,6 +84,7 @@
 namespace bitwave::service {
 
 namespace detail {
+struct Batch;
 struct ServiceShared;
 struct Job;
 struct TicketState;
@@ -130,17 +134,11 @@ struct ServiceOptions
      */
     double linger_seconds = 0.002;
     /// Evaluation core configuration (threads, grain, scheduler,
-    /// chaos_seed, and the retry policy for kTransient failures, which
-    /// also governs batch-wide and admission retries). The per-batch
-    /// cancel flag is service-managed; any `cancel` pointer set here is
-    /// ignored.
+    /// chaos_seed, the stall budget of one evaluation attempt, and the
+    /// retry policy for kTransient failures, which also governs
+    /// batch-wide and admission retries). The per-batch cancel flag is
+    /// service-managed; any `cancel` pointer set here is ignored.
     eval::RunnerOptions runner;
-    /**
-     * Watchdog stall budget: a batch evaluating longer than this is
-     * cancelled through the cooperative flag and retried in place as
-     * transient. <= 0 disables the watchdog (default).
-     */
-    double stall_budget_seconds = 0.0;
     /// How long a terminally failed fingerprint stays quarantined
     /// (identical resubmissions fail fast).
     double quarantine_ttl_seconds = 30.0;
@@ -268,8 +266,10 @@ struct ServiceStats
     std::uint64_t quarantined = 0;    ///< Fingerprints quarantined.
     std::uint64_t quarantine_hits = 0;  ///< Submissions failed fast by
                                         ///< an active quarantine entry.
-    std::uint64_t watchdog_cancels = 0;  ///< Batches cancelled for
-                                         ///< exceeding the stall budget.
+    /// Evaluation attempts the runner aborted for outrunning
+    /// `runner.stall_budget_seconds` (each retried batch-wide while
+    /// attempts remain).
+    std::uint64_t watchdog_cancels = 0;
     std::size_t queue_depth = 0;      ///< Current queue size.
     std::size_t peak_queue_depth = 0;
     HealthState health = HealthState::kHealthy;
@@ -336,14 +336,24 @@ class EvalService
 
   private:
     void dispatcher_loop();
-    void watchdog_loop();
     /// Evaluate one batch seeded from @p first; true if anything ran.
+    /// Composes the four steps below.
     bool process_batch(std::shared_ptr<detail::Job> first, bool linger);
+    /// Pop @p first's company off the queue, lingering once if asked.
+    void gather_batch(std::shared_ptr<detail::Job> first, bool linger,
+                      detail::Batch &batch);
+    /// Resolve aborted, expired and abandoned jobs and pin the rest to
+    /// the batch's cancel control; false when none is left to evaluate.
+    bool bind_batch(detail::Batch &batch);
+    /// The runner call, with the batch-wide transient retry.
+    void evaluate_batch(detail::Batch &batch);
+    /// Stats, phase histograms, ticket completion and quarantine; true
+    /// if any job completed kDone.
+    bool complete_batch(detail::Batch &batch);
 
     ServiceOptions options_;
     std::shared_ptr<detail::ServiceShared> shared_;
     std::vector<std::thread> dispatchers_;
-    std::thread watchdog_;
 };
 
 }  // namespace bitwave::service

@@ -325,8 +325,8 @@ TEST(Chaos, QuarantineExpiresAndReadmits)
 
 // -------------------------------------------------------------- watchdog ---
 
-// Delay faults stall every chunk past the stall budget; the watchdog
-// cancels the batch through the cooperative flag and the batch retries
+// Delay faults stall every chunk past the stall budget; the runner
+// aborts each attempt at its next chunk boundary and the batch retries
 // in place as transient. With the fault still armed the retries exhaust
 // into kFailed (nothing hangs); with faults cleared the same scenarios
 // complete bit-identically on a fresh service.
@@ -343,14 +343,13 @@ TEST(Chaos, WatchdogReclaimsStalledBatches)
     {
         FaultGuard guard("runner.chunk=1:delay:50", 7);
         ServiceOptions options = pump_options(8);
-        // Per-layer chunks on a real worker pool: the cooperative
-        // cancel flag is polled at chunk boundaries, and the
-        // single-thread path inlines the whole batch as one chunk.
+        // Per-layer chunks on a real worker pool: the stall budget is
+        // checked at chunk boundaries, and every chunk sleeps past it.
         options.runner.threads = 2;
         options.runner.shard_layers = 1;
         options.runner.retry.max_attempts = 2;
         options.runner.retry.backoff_seconds = 0.0;
-        options.stall_budget_seconds = 0.02;
+        options.runner.stall_budget_seconds = 0.02;
         options.quarantine_ttl_seconds = 0.0;  // keep fingerprints clean
         EvalService service(options);
 
@@ -363,16 +362,17 @@ TEST(Chaos, WatchdogReclaimsStalledBatches)
             EXPECT_EQ(ticket.status(), TicketStatus::kFailed);
             EXPECT_EQ(ticket.error_kind(), eval::ErrorKind::kTransient);
         }
+        // One stall per attempt, one batch-wide retry between the two.
         const auto stats = service.stats();
-        EXPECT_GE(stats.watchdog_cancels, 1u);
-        EXPECT_GE(stats.retries, 1u);
+        EXPECT_EQ(stats.watchdog_cancels, 2u);
+        EXPECT_EQ(stats.retries, 1u);
         service.shutdown();
     }
 
-    // Faults cleared: same scenarios complete despite the watchdog
-    // staying armed (healthy batches finish inside the budget).
+    // Faults cleared: same scenarios complete with the stall budget
+    // still set (healthy batches finish inside it).
     ServiceOptions options = pump_options(8);
-    options.stall_budget_seconds = 5.0;
+    options.runner.stall_budget_seconds = 5.0;
     EvalService service(options);
     std::vector<EvalTicket> tickets;
     for (const auto &s : scenarios) {

@@ -486,6 +486,49 @@ TEST(ScenarioRunner, NonTransientFaultFailsOnlyItsScenario)
     }
 }
 
+TEST(ScenarioRunner, StallBudgetAbortsTheBatchAsTransient)
+{
+    // Every unit sleeps 20 ms, longer than the 5 ms budget, so the
+    // check at the next chunk boundary aborts the batch: a transient
+    // BatchStalled that no unit retries and that is not an injected
+    // transient fault. With the budget off, the same stalled batch
+    // completes bit-identically.
+    auto scenarios = determinism_batch();
+    scenarios.resize(3);
+    eval::RunnerOptions serial;
+    serial.threads = 1;
+    const auto golden = eval::ScenarioRunner(serial).run(scenarios);
+
+    FaultGuard guard("runner.chunk=1:delay:20", 3);
+    eval::RunnerOptions options;
+    options.threads = 2;
+    options.shard_layers = 1;
+    options.stall_budget_seconds = 0.005;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        seeds.push_back(eval::scenario_rng_seed(scenarios[i], i));
+    }
+    const std::uint64_t transients = fault::stats().transients;
+    std::vector<std::exception_ptr> errors;
+    try {
+        eval::ScenarioRunner(options).run_seeded(scenarios, seeds, nullptr,
+                                                 &errors);
+        ADD_FAILURE() << "a stalled batch completed";
+    } catch (const eval::BatchStalled &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kTransient);
+    }
+    EXPECT_EQ(fault::stats().transients, transients);
+
+    options.stall_budget_seconds = 0.0;
+    eval::RunnerReport report;
+    const auto got = eval::ScenarioRunner(options).run(scenarios, &report);
+    EXPECT_EQ(report.retries, 0);
+    ASSERT_EQ(got.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        expect_identical(got[i], golden[i]);
+    }
+}
+
 std::uint64_t
 layers_synthesized()
 {
@@ -565,18 +608,20 @@ TEST(PrepCache, CachedBitflipSharesOnePreparedTensor)
     EXPECT_NE(a.get(), c.get());
 }
 
-TEST(PrepCache, PrepareWeightsOnlyFlipsSelectedLayers)
+TEST(PrepCache, PrepareScenarioOnlyFlipsSelectedLayers)
 {
     const auto net = std::make_shared<Workload>(tiny_workload());
     eval::Scenario s;
     s.custom_workload = net;
     s.bitflip.mode = eval::BitflipSpec::Mode::kUniform;
-    const std::vector<std::size_t> selection = {1};
-    const auto prepared = eval::prepare_weights(s, *net, &selection);
-    ASSERT_EQ(prepared.size(), net->layers.size());
-    EXPECT_EQ(prepared[0], nullptr);
-    EXPECT_NE(prepared[1], nullptr);
-    EXPECT_EQ(prepared[2], nullptr);
+    s.layer_filter = {"pw"};
+    const eval::ScenarioPrep prep = eval::prepare_scenario(s);
+    EXPECT_EQ(prep.layers, std::vector<std::size_t>({1}));
+    EXPECT_EQ(prep.flip, std::vector<std::uint8_t>({0, 1, 0}));
+    ASSERT_EQ(prep.weights.size(), net->layers.size());
+    for (const auto &w : prep.weights) {
+        EXPECT_EQ(w, nullptr) << "no override: weights stay the layer's own";
+    }
 }
 
 TEST(PrepCache, HeavyLayerSetCoversTheWeightShare)
